@@ -3,7 +3,7 @@
 The outer boundary is a Fourier-perturbed circle r(theta) = R(1 + sum eps_k
 cos k theta) about the origin; holes are disjoint disks strictly inside it.
 This module owns everything purely geometric: line and area quadratures,
-distance to the boundary, a certified interior-sphere radius, the diameter,
+distance to the boundary, an interior-sphere radius estimate, the diameter,
 enclosing/inscribed radii about a point, symmetric-difference areas against
 disks, and boundary-layer (tubular) node sets.
 """
@@ -224,39 +224,46 @@ class DomainSpec:
         return self._inside_outer(pts) & ~self._in_any_hole_closed(pts)
 
     def _distance_to_outer(self, pts, n_seed: int = 720):
-        """Distance from interior-ish points to the outer curve (Newton-polished)."""
+        """Distance from interior-ish points to the outer curve.
+
+        Each point starts from its nearest of n_seed equispaced curve samples
+        and is Newton-polished on the foot-point angle until its own step
+        falls below 1e-15 (at most 40 steps).
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         seeds = np.linspace(0.0, TWO_PI, n_seed, endpoint=False)
         bp = self.boundary_point(seeds)  # (s, 2)
-        # nearest seed per point, chunked to bound the (chunk, s) matrix
+        # nearest seed per point, in row blocks of ~64k point-seed pairs
         n = pts.shape[0]
         theta = np.empty(n)
-        chunk = max(1, 4_000_000 // n_seed)
+        chunk = max(1, 65536 // n_seed)
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
             d2 = (pts[lo:hi, 0, None] - bp[None, :, 0]) ** 2 + (
                 pts[lo:hi, 1, None] - bp[None, :, 1]
             ) ** 2
             theta[lo:hi] = seeds[np.argmin(d2, axis=1)]
+        active = np.arange(n)  # points still taking Newton steps
         for _ in range(40):
-            xp = self.boundary_point(theta)
-            r = self.radius(theta)
-            rp = self.radius_d1(theta)
-            rpp = self.radius_d2(theta)
-            cos, sin = np.cos(theta), np.sin(theta)
+            th, p = theta[active], pts[active]
+            xp = self.boundary_point(th)
+            r = self.radius(th)
+            rp = self.radius_d1(th)
+            rpp = self.radius_d2(th)
+            cos, sin = np.cos(th), np.sin(th)
             t1 = np.stack([rp * cos - r * sin, rp * sin + r * cos], axis=-1)
             t2 = np.stack(
                 [(rpp - r) * cos - 2 * rp * sin, (rpp - r) * sin + 2 * rp * cos],
                 axis=-1,
             )
-            diff = pts - xp
+            diff = p - xp
             g = -np.sum(diff * t1, axis=-1)
             h = np.sum(t1 * t1, axis=-1) - np.sum(diff * t2, axis=-1)
             h = np.where(np.abs(h) < 1e-14, 1e-14, h)
-            step = g / h
-            step = np.clip(step, -0.5, 0.5)
-            theta = theta - step
-            if np.max(np.abs(step)) < 1e-15:
+            step = np.clip(g / h, -0.5, 0.5)
+            theta[active] = th - step
+            active = active[np.abs(step) >= 1e-15]
+            if active.size == 0:
                 break
         return np.hypot(*(pts - self.boundary_point(theta)).T)
 
@@ -499,12 +506,21 @@ def distance_to_boundary(spec: DomainSpec, pts):
     return float(d[0]) if single else d
 
 
-def interior_sphere_radius(spec: DomainSpec, resolution: float = 1e-6, n_probe: int = 512) -> float:
-    """Certified lower bound on the uniform interior-sphere radius.
+def interior_sphere_radius(
+    spec: DomainSpec,
+    resolution: float = 1e-6,
+    n_probe: int = 512,
+    d_omega: float | None = None,
+) -> float:
+    """Estimate of the uniform interior-sphere radius.
 
     For boundary probes p, binary-searches the largest r such that the ball of
-    radius r tangent at p (center p - r * normal) stays inside the region; on
-    the outer curve the search is additionally capped by 1/max curvature.
+    radius r tangent at p (center p - r * normal) stays inside the region, up
+    to a slack of 1e-9 in the distance test; on the outer curve the search is
+    additionally capped by 1/max curvature.  Balls are only tested at the
+    probes, so this is an estimate, not a proven lower bound.  ``d_omega``
+    is the diameter when the caller already has it (it caps the search on
+    hole boundaries).
     """
     probes, normals, caps = [], [], []
     theta = np.linspace(0.0, TWO_PI, n_probe, endpoint=False)
@@ -515,7 +531,9 @@ def interior_sphere_radius(spec: DomainSpec, resolution: float = 1e-6, n_probe: 
     nh = max(128, n_probe // 2)
     th = np.linspace(0.0, TWO_PI, nh, endpoint=False)
     unit = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    hole_cap = 2.0 * diameter(spec) if spec.holes else 0.0
+    if spec.holes and d_omega is None:
+        d_omega = diameter(spec)
+    hole_cap = 2.0 * d_omega if spec.holes else 0.0
     for hole in spec.holes:
         probes.append(np.asarray(hole.center) + hole.radius * unit)
         normals.append(-unit)
@@ -556,10 +574,11 @@ def diameter(spec: DomainSpec) -> float:
         theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
         pts = spec.boundary_point(theta)
         d2 = 0.0
-        for lo in range(0, n, 1024):
-            hi = min(n, lo + 1024)
-            block = (pts[lo:hi, 0, None] - pts[None, :, 0]) ** 2 + (
-                pts[lo:hi, 1, None] - pts[None, :, 1]
+        # pair distances are symmetric bit for bit: scan the upper triangle
+        for lo in range(0, n, 64):
+            hi = min(n, lo + 64)
+            block = (pts[lo:hi, 0, None] - pts[None, lo:, 0]) ** 2 + (
+                pts[lo:hi, 1, None] - pts[None, lo:, 1]
             ) ** 2
             d2 = max(d2, float(np.max(block)))
         d = math.sqrt(d2)
@@ -619,18 +638,14 @@ def enclosing_inscribed_radii(spec: DomainSpec, z) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _disk_chord(center, radius, theta):
-    ct, st = math.cos(theta), math.sin(theta)
-    p = center[0] * ct + center[1] * st
-    disc = radius * radius - (center[0] ** 2 + center[1] ** 2 - p * p)
-    if disc <= 0.0:
-        return None
-    q = math.sqrt(disc)
-    return p - q, p + q
-
-
 def intersection_area_with_disk(spec: DomainSpec, z, radius: float, n_theta: int = 512) -> float:
-    """|Omega intersect B_radius(z)| for Omega the region enclosed by the outer curve."""
+    """|Omega intersect B_radius(z)| for Omega the region enclosed by the outer curve.
+
+    Polar panels break where rays from the origin graze the disk and where the
+    outer curve crosses the disk boundary.  Curve samples within roundoff of
+    the circle count as lying on it, so a curve that coincides with the
+    circle has no crossings and the cost does not depend on roundoff signs.
+    """
     z = np.asarray(z, dtype=float)
     breaks = []
     d0 = math.hypot(*z)
@@ -638,36 +653,41 @@ def intersection_area_with_disk(spec: DomainSpec, z, radius: float, n_theta: int
         phi = math.atan2(z[1], z[0])
         half = math.asin(min(1.0, radius / d0))
         breaks.extend([(phi - half) % TWO_PI, (phi + half) % TWO_PI])
-    # crossing angles where the outer curve meets the disk boundary
+    # crossing angles where the outer curve meets the disk boundary: bracket
+    # sign changes between cyclically consecutive off-circle samples and
+    # bisect all brackets together
     fine = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
-    g = np.hypot(*(spec.boundary_point(fine) - z).T) - radius
-    sign = np.sign(g)
-    for i in np.nonzero(sign != np.roll(sign, -1))[0]:
-        a, b = fine[i], fine[i] + (fine[1] - fine[0])
-        ga = g[i]
-
-        def gf(t):
-            return float(np.hypot(*(spec.boundary_point(t) - z)) - radius)
-
+    step = fine[1] - fine[0]
+    dist = np.hypot(*(spec.boundary_point(fine) - z).T)
+    g = dist - radius
+    roundoff = 64.0 * np.finfo(float).eps * max(radius, float(np.max(dist)))
+    off = np.nonzero(np.abs(g) > roundoff)[0]
+    after = np.roll(off, -1)
+    crossing = np.sign(g[off]) != np.sign(g[after])
+    lo, hi = off[crossing], after[crossing]
+    if lo.size:
+        a = fine[lo]
+        b = a + ((hi - lo) % fine.size) * step
+        ga = g[lo]
         for _ in range(80):
             m = 0.5 * (a + b)
-            gm = gf(m)
-            if ga * gm <= 0:
-                b = m
-            else:
-                a, ga = m, gm
-        breaks.append((0.5 * (a + b)) % TWO_PI)
-    theta_nodes, theta_weights = _paneled_theta_rule(sorted(breaks), n_theta)
-    total = 0.0
-    for th, wt in zip(theta_nodes, theta_weights):
-        chord = _disk_chord(z, radius, th)
-        if chord is None:
-            continue
-        a = max(0.0, chord[0])
-        b = min(float(spec.radius(th)), chord[1])
-        if b > a:
-            total += 0.5 * (b * b - a * a) * wt
-    return total
+            gm = np.hypot(*(spec.boundary_point(m) - z).T) - radius
+            left = ga * gm <= 0
+            b = np.where(left, m, b)
+            a = np.where(left, a, m)
+            ga = np.where(left, ga, gm)
+        breaks.extend(((0.5 * (a + b)) % TWO_PI).tolist())
+    theta, weights = _paneled_theta_rule(sorted(breaks), n_theta)
+    # radial chord of the disk along each ray, clipped to [0, r(theta)]
+    p = z[0] * np.cos(theta) + z[1] * np.sin(theta)
+    disc = radius * radius - (z[0] ** 2 + z[1] ** 2 - p * p)
+    q = np.sqrt(np.maximum(disc, 0.0))
+    a = np.maximum(0.0, p - q)
+    b = np.minimum(spec.radius(theta), p + q)
+    terms = np.where((disc > 0.0) & (b > a), 0.5 * (b * b - a * a) * weights, 0.0)
+    # a running sum in node order, not numpy's pairwise sum: the sweep's
+    # log-log slopes are differences of nearly equal areas
+    return float(np.cumsum(terms)[-1])
 
 
 def symmetric_difference_ratio(spec: DomainSpec, z, radius: float) -> float:

@@ -105,6 +105,48 @@ def parse_config_text(text: str) -> dict:
     return tree
 
 
+# every key a config may set; anything else is a typo, not a default
+CONFIG_KEYS = frozenset(
+    {
+        "experiment",
+        "seed",
+        "out_dir",
+        "threads",
+        "domain.outer_radius",
+        "domain.modes",
+        "domain.holes",
+        "field.kind",
+        "solver.n_src_per_ring",
+        "solver.offset_ratio",
+        "solver.tikhonov",
+        "quadrature.n_theta",
+        "quadrature.n_r",
+        "tolerances.identity_rel",
+        "tolerances.overdet",
+        "tolerances.growth_samples",
+        "sweep.axis",
+        "sweep.values",
+        "stability.regime",
+        "cauchy.c",
+        "cauchy.k",
+        "cauchy.eps",
+        "flow.max_iters",
+        "flow.flatness_tol",
+        "poincare.triples",
+        "poincare.n_fields",
+    }
+)
+
+
+def _key_paths(tree, prefix=""):
+    """Dotted paths of the leaves of a parsed config tree."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
 def _get(tree, path, default=None, required=False):
     node = tree
     for part in path.split("."):
@@ -139,6 +181,7 @@ class ScenarioConfig:
     regime: str = "sphere-condition"
     cauchy_c: float = 0.5
     cauchy_k: int = 3
+    cauchy_eps: float = 0.01
     flow_max_iters: int = 200
     flow_flatness_tol: float = 1e-3
     poincare_triples: tuple = ((2.0, 2.0, 0.5),)
@@ -147,6 +190,9 @@ class ScenarioConfig:
 
 
 def validate_config(tree: dict) -> ScenarioConfig:
+    for path in _key_paths(tree):
+        if path not in CONFIG_KEYS:
+            raise ConfigError(path, "unknown key")
     exp = _get(tree, "experiment", required=True)
     if exp not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {exp!r}")
@@ -154,6 +200,8 @@ def validate_config(tree: dict) -> ScenarioConfig:
     cfg.seed = int(_get(tree, "seed", 0))
     cfg.out_dir = str(_get(tree, "out_dir", "run_output"))
     cfg.threads = int(_get(tree, "threads", 1))
+    if cfg.threads < 1:
+        raise ConfigError("threads", f"must be >= 1, got {cfg.threads}")
     cfg.outer_radius = float(_get(tree, "domain.outer_radius", 1.0))
     if cfg.outer_radius <= 0:
         raise ConfigError("domain.outer_radius", "must be positive")
@@ -197,6 +245,7 @@ def validate_config(tree: dict) -> ScenarioConfig:
     cfg.regime = str(_get(tree, "stability.regime", "sphere-condition"))
     cfg.cauchy_c = float(_get(tree, "cauchy.c", 0.5))
     cfg.cauchy_k = int(_get(tree, "cauchy.k", 3))
+    cfg.cauchy_eps = float(_get(tree, "cauchy.eps", 0.01))
     cfg.flow_max_iters = int(_get(tree, "flow.max_iters", 200))
     cfg.flow_flatness_tol = float(_get(tree, "flow.flatness_tol", 1e-3))
     triples = _get(tree, "poincare.triples", [[2.0, 2.0, 0.5]])
@@ -252,9 +301,8 @@ def _build_field(cfg: ScenarioConfig, spec: DomainSpec):
         if len(spec.holes) != 1:
             raise ConfigError("domain.holes", "overdetermined instances use exactly one hole")
         h = spec.holes[0]
-        eps = float(_get(cfg.raw, "cauchy.eps", 0.01))
         inst = overdetermined_instance(
-            eps, c=cfg.cauchy_c, hole_center=h.center, hole_radius=h.radius
+            cfg.cauchy_eps, c=cfg.cauchy_c, hole_center=h.center, hole_radius=h.radius
         )
         return inst.spec, inst.model, {"instance": inst}
     # cauchy-literal: continue from the hole-free curve, then carve
@@ -407,8 +455,8 @@ def run_identities(cfg: ScenarioConfig):
 
 def _single_stability(cfg, spec, model, label="instance"):
     quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
-    r_i = interior_sphere_radius(spec)
     d_om = diameter(spec)
+    r_i = interior_sphere_radius(spec, d_omega=d_om)
     rep = stability_report(
         spec,
         model,
@@ -508,6 +556,11 @@ def _sweep_instances(cfg: ScenarioConfig):
     axis = cfg.sweep_axis
     if axis is None:
         raise ConfigError("sweep.axis", "sweep requires a declared axis")
+    if axis == "eps" and cfg.field_kind != "cauchy-literal" and len(cfg.holes) > 1:
+        raise ConfigError(
+            "domain.holes",
+            f"eps sweeps of overdetermined instances use one hole, got {len(cfg.holes)}",
+        )
     out = []
     for v in cfg.sweep_values:
         if axis == "hole_radius":
@@ -571,8 +624,8 @@ def run_cauchy_stability(cfg: ScenarioConfig):
     def one(item):
         label, v, spec, model = item
         quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
-        r_i = interior_sphere_radius(spec)
         d_om = diameter(spec)
+        r_i = interior_sphere_radius(spec, d_omega=d_om)
         rep = stability_report(
             spec, model, quads, label=label, regime=cfg.regime,
             tol_overdet=cfg.overdet_tol, r_i=r_i, d_omega=d_om,
@@ -583,7 +636,7 @@ def run_cauchy_stability(cfg: ScenarioConfig):
         hopf = check_hopf(model, quads.bounds.gamma, r_i)
         return v, rep, growth, hopf
 
-    with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         results = list(pool.map(one, instances))
 
     rows = []
@@ -686,8 +739,8 @@ def run_shapeflow(cfg: ScenarioConfig):
 def run_poincare(cfg: ScenarioConfig):
     spec = _build_spec(cfg)
     quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
-    r_i = interior_sphere_radius(spec)
     d_om = diameter(spec)
+    r_i = interior_sphere_radius(spec, d_omega=d_om)
     rows = []
     assertions = []
     for r, p, alpha in cfg.poincare_triples:
@@ -751,7 +804,7 @@ INSTANCE_COLUMNS = (
     ("psi_eta", "max{K, K^3} * eta"),
     ("tau_exponent", "radius-gap stability exponent"),
     ("c", "measured mean normal derivative on the outer curve"),
-    ("r_i", "certified interior-sphere radius lower bound"),
+    ("r_i", "interior-sphere radius estimate"),
     ("d_omega", "domain diameter"),
     ("hole_c2_norm", "max over hole boundaries of |u|+|grad u|+|hess u|_F"),
     ("grad_max_tube", "max |grad u| on the boundary layer of width r_i"),
@@ -850,6 +903,8 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if args.out is not None:
         cfg.out_dir = args.out
     if args.threads is not None:
+        if args.threads < 1:
+            raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         cfg.threads = args.threads
     if args.seed is not None:
         cfg.seed = args.seed

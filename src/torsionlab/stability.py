@@ -414,8 +414,8 @@ def poincare_ratio_experiment(
             ** (1.0 / p)
         )
         ratios.append(0.0 if den == 0.0 else num / den)
-    r_i = interior_sphere_radius(spec) if r_i is None else r_i
     d_omega = diameter(spec) if d_omega is None else d_omega
+    r_i = interior_sphere_radius(spec, d_omega=d_omega) if r_i is None else r_i
     bound = poincare_normalized_bound(case, r, p, alpha, d_omega, r_i, spec.region_area)
     return PoincareReport(
         case=case,
@@ -661,8 +661,8 @@ def stability_report(
     flagged so sweep-level constant fitting can exclude the instance.
     """
     notes = []
-    r_i = interior_sphere_radius(spec) if r_i is None else r_i
     d_omega = diameter(spec) if d_omega is None else d_omega
+    r_i = interior_sphere_radius(spec, d_omega=d_omega) if r_i is None else r_i
     bq = quads.bounds.gamma
     u_gamma = evaluate_u(model, bq.nodes)
     u_nu = normal_derivative(model, bq.nodes, bq.normals)

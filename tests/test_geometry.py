@@ -182,6 +182,23 @@ def test_delta_matches_dense_sampling_oracle():
     assert abs(d - brute) <= 1e-8
 
 
+def test_distance_to_outer_matches_dense_sampling_near_medial_axis():
+    # on the rays through the lobes of a 3-lobed curve two foot points are
+    # equally near (the medial axis); points on and just off it, both lobes
+    spec = DomainSpec(1.0, ((3, 0.1),))
+    pts = []
+    for angle in (0.0, TWO_PI / 3.0):
+        c, s = math.cos(angle), math.sin(angle)
+        for t in (0.0, 0.2, 0.5, 0.75):
+            for off in (0.0, 1e-7, 1e-3):
+                pts.append((t * c - off * s, t * s + off * c))
+    pts = np.array(pts)
+    got = spec._distance_to_outer(pts)
+    bp = spec.boundary_point(np.linspace(0.0, TWO_PI, 1_000_000, endpoint=False))
+    brute = np.array([np.min(np.hypot(bp[:, 0] - x, bp[:, 1] - y)) for x, y in pts])
+    assert np.max(np.abs(got - brute)) <= 1e-10
+
+
 def test_delta_rejects_exterior_point(annulus):
     with pytest.raises(ExteriorPointError):
         distance_to_boundary(annulus, (1.5, 0.0))
@@ -231,7 +248,7 @@ def test_interior_sphere_unresolvable_pinch():
         interior_sphere_radius(pinch)
 
 
-def test_interior_sphere_is_certified_lower_bound(annulus):
+def test_interior_sphere_estimate_admits_tangent_ball(annulus):
     r_i = interior_sphere_radius(annulus)
     # the returned value must itself admit tangent interior balls
     p = annulus.boundary_point(np.array([0.3]))[0]
@@ -244,6 +261,29 @@ def test_diameter_values(ball):
     assert abs(diameter(ball) - 2.0) <= 1e-9
     assert abs(diameter(DomainSpec(1.0, ((2, 0.1),))) - 2.2) <= 1e-9
     assert abs(diameter(DomainSpec(0.5)) - 1.0) <= 1e-9
+
+
+def _full_square_diameter(spec):
+    """diameter()'s refinement loop with the max over all n x n pairs."""
+    prev, n = -1.0, 128
+    while True:
+        pts = spec.boundary_point(np.linspace(0.0, TWO_PI, n, endpoint=False))
+        d2 = 0.0
+        for lo in range(0, n, 512):
+            block = (pts[lo : lo + 512, 0, None] - pts[None, :, 0]) ** 2 + (
+                pts[lo : lo + 512, 1, None] - pts[None, :, 1]
+            ) ** 2
+            d2 = max(d2, float(np.max(block)))
+        d = math.sqrt(d2)
+        if abs(d - prev) < 1e-9 or n >= 8192:
+            return d
+        prev, n = d, 2 * n
+
+
+@pytest.mark.parametrize("modes", [(), ((2, 0.1),), ((3, 0.05),), ((2, 0.08), (3, 0.02))])
+def test_diameter_equals_full_pairwise_max(modes):
+    spec = DomainSpec(1.0, modes)
+    assert diameter(spec) == _full_square_diameter(spec)
 
 
 def test_radii_about_center(ball):
@@ -308,6 +348,52 @@ def test_symmetric_difference_swap_symmetry():
     one = symmetric_difference_ratio(DomainSpec(a), z, b) * math.pi * b * b
     two = symmetric_difference_ratio(DomainSpec(b), z, a) * math.pi * a * a
     assert abs(one - two) <= 1e-6
+
+
+def _polar_oracle_area(spec, z, radius, n=1 << 20):
+    """|Omega intersect B_radius(z)| by the midpoint rule on n rays, each
+    ray's disk chord clipped to [0, r(theta)] in closed form."""
+    theta = (np.arange(n) + 0.5) * (TWO_PI / n)
+    p = z[0] * np.cos(theta) + z[1] * np.sin(theta)
+    disc = radius * radius - (z[0] ** 2 + z[1] ** 2 - p * p)
+    q = np.sqrt(np.maximum(disc, 0.0))
+    a = np.maximum(p - q, 0.0)
+    b = np.minimum(p + q, spec.radius(theta))
+    return 0.5 * float(np.sum(np.where(b > a, b * b - a * a, 0.0))) * (TWO_PI / n)
+
+
+@pytest.mark.parametrize(
+    "modes, z, radius",
+    [
+        (((3, 0.05),), (0.01, 0.0), 1.0),
+        (((2, 0.1), (5, 0.01)), (0.05, -0.02), 0.98),
+    ],
+)
+def test_intersection_matches_polar_oracle(modes, z, radius):
+    spec = DomainSpec(1.0, modes)
+    got = intersection_area_with_disk(spec, z, radius)
+    assert abs(got - _polar_oracle_area(spec, z, radius)) <= 1e-10
+
+
+def test_intersection_coincident_circle(monkeypatch):
+    # the equality case: the curve is the disk boundary up to roundoff, so
+    # the sign of g along it is noise; area and cost must not depend on it
+    ball = DomainSpec(1.0)
+    calls = []
+    boundary_point = DomainSpec.boundary_point
+
+    def counted(self, theta):
+        calls.append(1)
+        return boundary_point(self, theta)
+
+    monkeypatch.setattr(DomainSpec, "boundary_point", counted)
+    z = (7e-18, -7e-18)
+    counts = []
+    for radius in (1.0, 1.0 + 2e-16, 1.0 - 2e-16):
+        before = len(calls)
+        assert abs(intersection_area_with_disk(ball, z, radius) - math.pi) <= 1e-13
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] == counts[2] <= 200
 
 
 def test_intersection_disjoint(ball):

@@ -93,6 +93,36 @@ def test_validate_names_field_path():
         validate_config(tree)
 
 
+def test_validate_rejects_unknown_key():
+    tree = parse_config_text(RADIAL_IDENTITIES + "quadrature.ntheta = 128\n")
+    with pytest.raises(ConfigError, match=r"'quadrature\.ntheta': unknown key"):
+        validate_config(tree)
+    with pytest.raises(ConfigError) as err:
+        validate_config(parse_config_text(RADIAL_IDENTITIES + "domain = 3\n"))
+    assert err.value.path == "domain"
+
+
+def test_unknown_key_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, "typo.cfg", RADIAL_IDENTITIES + "quadrature.ntheta = 128\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "quadrature.ntheta" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cauchy_eps_is_a_known_key():
+    text = RADIAL_IDENTITIES.replace('"radial"', '"overdetermined"') + "cauchy.eps = 0.02\n"
+    tree = parse_config_text(text)
+    assert validate_config(tree).cauchy_eps == 0.02
+
+
+def test_threads_below_one_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="threads"):
+        validate_config(parse_config_text(SWEEP_EPS + "threads = 0\n"))
+    cfg = write(tmp_path, "sweep.cfg", SWEEP_EPS)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "out"), "--threads", "0"]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.cfg")
@@ -255,6 +285,15 @@ def test_sweep_requires_axis_and_values(tmp_path, capsys):
     assert main(["sweep", cfg, "--out", str(tmp_path / "o1")]) == 2
     cfg2 = write(tmp_path, "empty.cfg", SWEEP_EPS.replace("[0.01, 0.02]", "[]"))
     assert main(["sweep", cfg2, "--out", str(tmp_path / "o2")]) == 2
+
+
+def test_sweep_eps_rejects_extra_holes(tmp_path, capsys):
+    # the overdetermined family is built around one hole; a second would be
+    # silently dropped
+    two = SWEEP_EPS.replace("0.1, 0.0]]", "0.1, 0.0], [-0.4, 0.0, 0.1, 0.0]]")
+    cfg = write(tmp_path, "two_holes.cfg", two)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "domain.holes" in capsys.readouterr().err
 
 
 def test_sweep_determinism_byte_identical(tmp_path):
