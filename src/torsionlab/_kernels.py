@@ -1,58 +1,40 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The hot numeric kernel: a logarithmic source expansion at many points.
 
-The expensive inner loop of the whole package is evaluating a logarithmic
-source expansion (value, gradient, Hessian) at many points.  When numba is
-importable the loop is JIT compiled; setting the environment variable
-``TORSIONLAB_NO_NUMBA=1`` (or numba being absent) selects the vectorized
-numpy path instead.  Both paths compute identical quantities; see
-``benchmarks/bench_field_eval.py`` for a timing comparison.
+The expensive inner loop of the whole package is evaluating
+sum_j a_j (1/2pi) log|x - s_j| and its derivatives at many points.  The
+caller names the parts it reads (``want``: value ``u``, gradient ``g``,
+Hessian ``h``) and only those are computed; each part is the same expression
+over the same point chunks whatever else is asked for, so it is bitwise equal
+to the corresponding part of a full ``want="ugh"`` call.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("TORSIONLAB_NO_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
+# the only implementation; recorded in report.json and the benchmark environment
+BACKEND = "numpy"
 
 
-if _numba_disabled_by_env():
-    _HAVE_NUMBA = False
-else:
-    try:
-        import numba
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-
-def log_source_fields_numpy(points, sources, coeffs):
+def log_source_fields(points, sources, coeffs, want="ugh"):
     """Value/gradient/Hessian of sum_j a_j * (1/2pi) log|x - s_j|.
 
-    points: (n, 2), sources: (m, 2), coeffs: (m,).
-    Returns u (n,), grad (n, 2), hess (n, 3) as (uxx, uxy, uyy).
-    Chunked over points to bound the (chunk, m) temporaries.
+    points: (n, 2), sources: (m, 2), coeffs: (m,); want: a non-empty subset
+    of "ugh".  Returns u (n,), grad (n, 2), hess (n, 3) as (uxx, uxy, uyy),
+    with None for each part not in want.  Chunked over points to bound the
+    (chunk, m) temporaries.
     """
+    if not want or not set(want) <= set("ugh"):
+        raise ValueError(f"want must be a non-empty subset of 'ugh', got {want!r}")
     points = np.ascontiguousarray(points, dtype=np.float64)
     sources = np.ascontiguousarray(sources, dtype=np.float64)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
     n = points.shape[0]
-    u = np.zeros(n)
-    grad = np.zeros((n, 2))
-    hess = np.zeros((n, 3))
+    u = np.zeros(n) if "u" in want else None
+    grad = np.zeros((n, 2)) if "g" in want else None
+    hess = np.zeros((n, 3)) if "h" in want else None
     if sources.shape[0] == 0:
         return u, grad, hess
     chunk = max(1, int(2_000_000 // max(1, sources.shape[0])))
@@ -61,73 +43,17 @@ def log_source_fields_numpy(points, sources, coeffs):
         dx = points[lo:hi, 0, None] - sources[None, :, 0]
         dy = points[lo:hi, 1, None] - sources[None, :, 1]
         r2 = dx * dx + dy * dy
-        u[lo:hi] = (0.5 / TWO_PI) * (np.log(r2) @ coeffs)
+        if u is not None:
+            u[lo:hi] = (0.5 / TWO_PI) * (np.log(r2) @ coeffs)
+        if grad is None and hess is None:
+            continue
         inv = coeffs / TWO_PI / r2
-        grad[lo:hi, 0] = np.sum(dx * inv, axis=1)
-        grad[lo:hi, 1] = np.sum(dy * inv, axis=1)
-        inv2 = inv / r2
-        hess[lo:hi, 0] = np.sum(inv - 2.0 * dx * dx * inv2, axis=1)
-        hess[lo:hi, 1] = np.sum(-2.0 * dx * dy * inv2, axis=1)
-        hess[lo:hi, 2] = np.sum(inv - 2.0 * dy * dy * inv2, axis=1)
+        if grad is not None:
+            grad[lo:hi, 0] = np.sum(dx * inv, axis=1)
+            grad[lo:hi, 1] = np.sum(dy * inv, axis=1)
+        if hess is not None:
+            inv2 = inv / r2
+            hess[lo:hi, 0] = np.sum(inv - 2.0 * dx * dx * inv2, axis=1)
+            hess[lo:hi, 1] = np.sum(-2.0 * dx * dy * inv2, axis=1)
+            hess[lo:hi, 2] = np.sum(inv - 2.0 * dy * dy * inv2, axis=1)
     return u, grad, hess
-
-
-if _HAVE_NUMBA:
-
-    # error_model="numpy" so a query at a source point yields inf/nan exactly
-    # like the numpy fallback, instead of raising
-    @numba.njit(cache=True, error_model="numpy")
-    def _log_source_fields_numba(points, sources, coeffs):  # pragma: no cover
-        n = points.shape[0]
-        m = sources.shape[0]
-        u = np.zeros(n)
-        grad = np.zeros((n, 2))
-        hess = np.zeros((n, 3))
-        for i in range(n):
-            px = points[i, 0]
-            py = points[i, 1]
-            su = 0.0
-            gx = 0.0
-            gy = 0.0
-            hxx = 0.0
-            hxy = 0.0
-            hyy = 0.0
-            for j in range(m):
-                dx = px - sources[j, 0]
-                dy = py - sources[j, 1]
-                r2 = dx * dx + dy * dy
-                a = coeffs[j] / TWO_PI
-                su += 0.5 * a * np.log(r2)
-                inv = a / r2
-                gx += dx * inv
-                gy += dy * inv
-                inv2 = inv / r2
-                hxx += inv - 2.0 * dx * dx * inv2
-                hxy += -2.0 * dx * dy * inv2
-                hyy += inv - 2.0 * dy * dy * inv2
-            u[i] = su
-            grad[i, 0] = gx
-            grad[i, 1] = gy
-            hess[i, 0] = hxx
-            hess[i, 1] = hxy
-            hess[i, 2] = hyy
-        return u, grad, hess
-
-    def log_source_fields(points, sources, coeffs):
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        sources = np.ascontiguousarray(sources, dtype=np.float64)
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-        if sources.shape[0] == 0:
-            n = points.shape[0]
-            return np.zeros(n), np.zeros((n, 2)), np.zeros((n, 3))
-        return _log_source_fields_numba(points, sources, coeffs)
-
-else:
-    log_source_fields = log_source_fields_numpy
-
-
-def warmup():
-    """Trigger JIT compilation so timed sections do not pay for it."""
-    pts = np.array([[0.3, 0.1], [0.0, -0.2]])
-    src = np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.5]])
-    log_source_fields(pts, src, np.array([1.0, -0.5, 0.25]))

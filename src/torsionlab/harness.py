@@ -54,6 +54,7 @@ from .solver import (
     solve_dirichlet,
 )
 from .stability import (
+    REGIMES,
     ExponentTripleError,
     bound_table,
     check_growth,
@@ -158,6 +159,32 @@ def _get(tree, path, default=None, required=False):
     return node
 
 
+def _typed(path, value, kind):
+    """value as kind: float takes any finite number, int a whole one (1e4 is
+    10000, 2.5 is an error); booleans, strings and containers are a
+    ConfigError naming path."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, float):
+        ok = math.isfinite(value) and (kind is float or value.is_integer())
+    if not ok:
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(path, f"expected {expected}, got {value!r}")
+    return kind(value)
+
+
+def _number(tree, path, default, kind=float):
+    return _typed(path, _get(tree, path, default), kind)
+
+
+def _lists_of(path, value, size, what):
+    """value as a list of size-element lists, else a ConfigError naming path."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, list) and len(v) == size for v in value
+    ):
+        raise ConfigError(path, f"expected a list of {what}")
+    return value
+
+
 @dataclass
 class ScenarioConfig:
     experiment: str
@@ -197,69 +224,70 @@ def validate_config(tree: dict) -> ScenarioConfig:
     if exp not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {exp!r}")
     cfg = ScenarioConfig(experiment=exp, raw=tree)
-    cfg.seed = int(_get(tree, "seed", 0))
+    cfg.seed = _number(tree, "seed", 0, int)
     cfg.out_dir = str(_get(tree, "out_dir", "run_output"))
-    cfg.threads = int(_get(tree, "threads", 1))
+    cfg.threads = _number(tree, "threads", 1, int)
     if cfg.threads < 1:
         raise ConfigError("threads", f"must be >= 1, got {cfg.threads}")
-    cfg.outer_radius = float(_get(tree, "domain.outer_radius", 1.0))
+    cfg.outer_radius = _number(tree, "domain.outer_radius", 1.0)
     if cfg.outer_radius <= 0:
         raise ConfigError("domain.outer_radius", "must be positive")
-    modes = _get(tree, "domain.modes", [])
-    try:
-        cfg.modes = tuple((int(k), float(e)) for k, e in modes)
-    except (TypeError, ValueError):
-        raise ConfigError("domain.modes", "expected a list of [wavenumber, amplitude] pairs")
-    holes = _get(tree, "domain.holes", [])
-    parsed = []
-    for i, h in enumerate(holes):
-        if not isinstance(h, (list, tuple)) or len(h) != 4:
-            raise ConfigError(f"domain.holes[{i}]", "expected [cx, cy, radius, g]")
-        parsed.append(tuple(float(v) for v in h))
-    cfg.holes = tuple(parsed)
+    modes = _lists_of(
+        "domain.modes", _get(tree, "domain.modes", []), 2, "[wavenumber, amplitude] pairs"
+    )
+    cfg.modes = tuple(
+        (_typed(f"domain.modes[{i}]", k, int), _typed(f"domain.modes[{i}]", e, float))
+        for i, (k, e) in enumerate(modes)
+    )
+    holes = _lists_of("domain.holes", _get(tree, "domain.holes", []), 4, "[cx, cy, radius, g]")
+    cfg.holes = tuple(
+        tuple(_typed(f"domain.holes[{i}]", v, float) for v in h) for i, h in enumerate(holes)
+    )
     cfg.field_kind = str(_get(tree, "field.kind", "dirichlet"))
     if cfg.field_kind not in ("radial", "dirichlet", "overdetermined", "cauchy-literal"):
         raise ConfigError("field.kind", f"unknown field kind {cfg.field_kind!r}")
-    cfg.n_src_per_ring = int(_get(tree, "solver.n_src_per_ring", 96))
-    cfg.offset_ratio = float(_get(tree, "solver.offset_ratio", 1.8))
+    cfg.n_src_per_ring = _number(tree, "solver.n_src_per_ring", 96, int)
+    cfg.offset_ratio = _number(tree, "solver.offset_ratio", 1.8)
     tik = _get(tree, "solver.tikhonov", None)
-    cfg.tikhonov = None if tik is None else float(tik)
-    cfg.n_theta = int(_get(tree, "quadrature.n_theta", 256))
-    cfg.n_r = int(_get(tree, "quadrature.n_r", 48))
+    cfg.tikhonov = None if tik is None else _typed("solver.tikhonov", tik, float)
+    cfg.n_theta = _number(tree, "quadrature.n_theta", 256, int)
+    cfg.n_r = _number(tree, "quadrature.n_r", 48, int)
     if cfg.n_theta < 64 or cfg.n_theta % 2:
         raise ConfigError("quadrature.n_theta", "must be even and >= 64")
-    cfg.identity_rel_tol = float(_get(tree, "tolerances.identity_rel", 1e-4))
-    cfg.overdet_tol = float(_get(tree, "tolerances.overdet", 1e-6))
-    cfg.growth_samples = int(_get(tree, "tolerances.growth_samples", 10000))
+    cfg.identity_rel_tol = _number(tree, "tolerances.identity_rel", 1e-4)
+    cfg.overdet_tol = _number(tree, "tolerances.overdet", 1e-6)
+    cfg.growth_samples = _number(tree, "tolerances.growth_samples", 10000, int)
     cfg.sweep_axis = _get(tree, "sweep.axis", None)
     values = _get(tree, "sweep.values", [])
-    try:
-        cfg.sweep_values = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
+    if not isinstance(values, list):
         raise ConfigError("sweep.values", "expected a list of numbers")
-    for v in cfg.sweep_values:
-        if not math.isfinite(v):
-            raise ConfigError("sweep.values", "values must be finite")
+    cfg.sweep_values = tuple(_typed(f"sweep.values[{i}]", v, float) for i, v in enumerate(values))
     if list(cfg.sweep_values) != sorted(cfg.sweep_values):
         raise ConfigError("sweep.values", "values must be sorted ascending")
     cfg.regime = str(_get(tree, "stability.regime", "sphere-condition"))
-    cfg.cauchy_c = float(_get(tree, "cauchy.c", 0.5))
-    cfg.cauchy_k = int(_get(tree, "cauchy.k", 3))
-    cfg.cauchy_eps = float(_get(tree, "cauchy.eps", 0.01))
-    cfg.flow_max_iters = int(_get(tree, "flow.max_iters", 200))
-    cfg.flow_flatness_tol = float(_get(tree, "flow.flatness_tol", 1e-3))
-    triples = _get(tree, "poincare.triples", [[2.0, 2.0, 0.5]])
-    try:
-        cfg.poincare_triples = tuple(tuple(float(x) for x in t) for t in triples)
-    except (TypeError, ValueError):
-        raise ConfigError("poincare.triples", "expected a list of [r, p, alpha] triples")
+    if cfg.regime not in REGIMES:
+        raise ConfigError("stability.regime", f"must be one of {REGIMES}, got {cfg.regime!r}")
+    cfg.cauchy_c = _number(tree, "cauchy.c", 0.5)
+    cfg.cauchy_k = _number(tree, "cauchy.k", 3, int)
+    cfg.cauchy_eps = _number(tree, "cauchy.eps", 0.01)
+    cfg.flow_max_iters = _number(tree, "flow.max_iters", 200, int)
+    cfg.flow_flatness_tol = _number(tree, "flow.flatness_tol", 1e-3)
+    triples = _lists_of(
+        "poincare.triples", _get(tree, "poincare.triples", [[2.0, 2.0, 0.5]]), 3,
+        "[r, p, alpha] triples",
+    )
+    cfg.poincare_triples = tuple(
+        tuple(_typed(f"poincare.triples[{i}]", x, float) for x in t) for i, t in enumerate(triples)
+    )
     if exp == "poincare":
         for i, (r, p, alpha) in enumerate(cfg.poincare_triples):
             try:
                 validate_poincare_triple(r, p, alpha)
             except ExponentTripleError as err:
                 raise ConfigError(f"poincare.triples[{i}]", str(err)) from None
-    cfg.poincare_n_fields = int(_get(tree, "poincare.n_fields", 50))
+    cfg.poincare_n_fields = _number(tree, "poincare.n_fields", 50, int)
+    if cfg.poincare_n_fields < 1:
+        raise ConfigError("poincare.n_fields", f"must be >= 1, got {cfg.poincare_n_fields}")
     return cfg
 
 
@@ -561,6 +589,11 @@ def _sweep_instances(cfg: ScenarioConfig):
             "domain.holes",
             f"eps sweeps of overdetermined instances use one hole, got {len(cfg.holes)}",
         )
+    if axis == "hole_radius" and cfg.holes:
+        raise ConfigError(
+            "domain.holes",
+            "hole_radius sweeps build their own centered hole; leave domain.holes unset",
+        )
     out = []
     for v in cfg.sweep_values:
         if axis == "hole_radius":
@@ -743,16 +776,16 @@ def run_poincare(cfg: ScenarioConfig):
     r_i = interior_sphere_radius(spec, d_omega=d_om)
     rows = []
     assertions = []
-    for r, p, alpha in cfg.poincare_triples:
-        rep = poincare_ratio_experiment(
-            spec, quads, r, p, alpha,
-            n_fields=cfg.poincare_n_fields, seed=cfg.seed, r_i=r_i, d_omega=d_om,
-        )
+    reports = poincare_ratio_experiment(
+        spec, quads, cfg.poincare_triples,
+        n_fields=cfg.poincare_n_fields, seed=cfg.seed, r_i=r_i, d_omega=d_om,
+    )
+    for rep in reports:
         rows.append(
             {
-                "r": r,
-                "p": p,
-                "alpha": alpha,
+                "r": rep.r,
+                "p": rep.p,
+                "alpha": rep.alpha,
                 "case": rep.case,
                 "n_fields": rep.n_fields,
                 "max_ratio": rep.max_ratio,
@@ -761,7 +794,7 @@ def run_poincare(cfg: ScenarioConfig):
         )
         assertions.append(
             Assertion(
-                f"poincare_ratio_finite:r={r:g},p={p:g},alpha={alpha:g}",
+                f"poincare_ratio_finite:r={rep.r:g},p={rep.p:g},alpha={rep.alpha:g}",
                 math.isfinite(rep.max_ratio),
                 witness=f"max_ratio={rep.max_ratio:.4e} normalized_bound={rep.normalized_bound:.4e}",
             )

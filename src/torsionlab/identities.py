@@ -53,7 +53,7 @@ class IdentityReport:
 
 def p_function(model: FieldModel, pts, n_dim: int = N_DIM):
     """|grad u|^2 - (2/N) u, the subharmonic companion of the field."""
-    u, grad, _ = evaluate(model, np.atleast_2d(np.asarray(pts, dtype=float)))
+    u, grad, _ = evaluate(model, np.atleast_2d(np.asarray(pts, dtype=float)), "ug")
     out = np.sum(grad * grad, axis=1) - (2.0 / n_dim) * u
     return float(out[0]) if np.asarray(pts).ndim == 1 else out
 
@@ -65,7 +65,7 @@ def cauchy_schwarz_deficit(model: FieldModel, pts, n_dim: int = N_DIM):
     same quantity by algebra; a value below -1e-12 signals an inconsistency.
     """
     single = np.asarray(pts).ndim == 1
-    _, _, hess = evaluate(model, np.atleast_2d(np.asarray(pts, dtype=float)))
+    _, _, hess = evaluate(model, np.atleast_2d(np.asarray(pts, dtype=float)), "h")
     frob = np.sum(hess * hess, axis=(1, 2))
     lap = hess[:, 0, 0] + hess[:, 1, 1]
     out = frob - lap * lap / n_dim
@@ -76,14 +76,18 @@ def cauchy_schwarz_deficit(model: FieldModel, pts, n_dim: int = N_DIM):
     return float(out[0]) if single else out
 
 
-def _boundary_fields(model, bq):
-    u, grad, hess = evaluate(model, bq.nodes)
+def _boundary_fields(model, bq, want):
+    """Boundary integrand pieces from the field parts in want ("g" at least);
+    u is None unless want has "u", hess_grad_nu None unless it has "h"."""
+    u, grad, hess = evaluate(model, bq.nodes, want)
     u_nu = np.sum(grad * bq.normals, axis=1)
     x_nu = np.sum(bq.nodes * bq.normals, axis=1)
     x_grad = np.sum(bq.nodes * grad, axis=1)
     grad2 = np.sum(grad * grad, axis=1)
-    hess_grad = np.einsum("nij,nj->ni", hess, grad)
-    hess_grad_nu = np.sum(hess_grad * bq.normals, axis=1)
+    hess_grad_nu = None
+    if hess is not None:
+        hess_grad = np.einsum("nij,nj->ni", hess, grad)
+        hess_grad_nu = np.sum(hess_grad * bq.normals, axis=1)
     return u, grad, u_nu, x_nu, x_grad, grad2, hess_grad_nu
 
 
@@ -105,14 +109,14 @@ def check_divergence(spec: DomainSpec, quads: Quadratures) -> IdentityReport:
 def check_pohozaev(model: FieldModel, spec: DomainSpec, quads: Quadratures) -> IdentityReport:
     """Rellich-Pohozaev identity: (N+2) * integral |grad u|^2 against the
     boundary form with its hole correction terms."""
-    _, grad, _ = evaluate(model, quads.area.nodes)
+    _, grad, _ = evaluate(model, quads.area.nodes, "g")
     lhs = (N_DIM + 2.0) * float(np.sum(np.sum(grad * grad, axis=1) * quads.area.weights))
     breakdown = {}
     bq = quads.bounds.gamma
-    _, _, u_nu, x_nu, _, _, _ = _boundary_fields(model, bq)
+    _, _, u_nu, x_nu, _, _, _ = _boundary_fields(model, bq, "g")
     breakdown["gamma"] = float(np.sum(x_nu * u_nu**2 * bq.weights))
     for bq in quads.bounds.holes:
-        u, _, u_nu, x_nu, x_grad, grad2, _ = _boundary_fields(model, bq)
+        u, _, u_nu, x_nu, x_grad, grad2, _ = _boundary_fields(model, bq, "ug")
         integrand = (
             u * u_nu
             - x_nu * u / N_DIM
@@ -126,7 +130,7 @@ def check_pohozaev(model: FieldModel, spec: DomainSpec, quads: Quadratures) -> I
 
 
 def _fundamental_lhs(model, quads):
-    u, _, hess = evaluate(model, quads.area.nodes)
+    u, _, hess = evaluate(model, quads.area.nodes, "uh")
     frob = np.sum(hess * hess, axis=(1, 2))
     lap = hess[:, 0, 0] + hess[:, 1, 1]
     deficit = frob - lap * lap / N_DIM
@@ -139,7 +143,7 @@ def _fundamental_hole_terms(model, quads):
     u_group = {}
     grad_group = {}
     for bq in quads.bounds.holes:
-        u, _, u_nu, x_nu, x_grad, grad2, hess_grad_nu = _boundary_fields(model, bq)
+        u, _, u_nu, x_nu, x_grad, grad2, hess_grad_nu = _boundary_fields(model, bq, "ugh")
         u_group[bq.component] = float(
             np.sum(2.0 * u * (x_nu / N_DIM - u_nu) * bq.weights)
         )
@@ -160,7 +164,7 @@ def check_fundamental(model: FieldModel, spec: DomainSpec, quads: Quadratures) -
     hole corrections."""
     lhs = _fundamental_lhs(model, quads)
     bq = quads.bounds.gamma
-    _, _, u_nu, x_nu, _, _, _ = _boundary_fields(model, bq)
+    _, _, u_nu, x_nu, _, _, _ = _boundary_fields(model, bq, "g")
     breakdown = {"gamma": float(np.sum(u_nu**2 * (u_nu - x_nu / N_DIM) * bq.weights))}
     u_group, grad_group = _fundamental_hole_terms(model, quads)
     for comp in u_group:
@@ -186,26 +190,24 @@ def check_overdetermined(
     whose residual is stored in the breakdown under 'flux_identity'.
     """
     bq = quads.bounds.gamma
-    _, _, u_nu, _, _, _, _ = _boundary_fields(model, bq)
+    _, _, u_nu, _, _, _, _ = _boundary_fields(model, bq, "g")
     deviation = float(np.max(np.abs(u_nu - c)))
     if deviation > tol_overdet:
         raise OverdeterminationError(deviation, tol_overdet)
     lhs = _fundamental_lhs(model, quads)
     breakdown = {}
     u_group, grad_group = _fundamental_hole_terms(model, quads)
+    flux_holes = 0.0
     for bq_h in quads.bounds.holes:
-        _, _, u_nu_h, x_nu_h, _, _, _ = _boundary_fields(model, bq_h)
+        _, _, u_nu_h, x_nu_h, _, _, _ = _boundary_fields(model, bq_h, "g")
         breakdown[f"{bq_h.component}:c2"] = c * c * float(
             np.sum((x_nu_h / N_DIM - u_nu_h) * bq_h.weights)
         )
+        flux_holes += float(np.sum(u_nu_h * bq_h.weights))
     for comp in u_group:
         breakdown[f"{comp}:u"] = u_group[comp]
         breakdown[f"{comp}:grad"] = grad_group[comp]
     flux_gamma = float(np.sum(u_nu * bq.weights))
-    flux_holes = 0.0
-    for bq_h in quads.bounds.holes:
-        _, _, u_nu_h, _, _, _, _ = _boundary_fields(model, bq_h)
-        flux_holes += float(np.sum(u_nu_h * bq_h.weights))
     return IdentityReport(
         identity="overdetermined",
         lhs=lhs,
@@ -224,11 +226,11 @@ def check_value_c(model: FieldModel, spec: DomainSpec, quads: Quadratures) -> Id
     with the left side from the outer-curve flux and the right side from the
     closed-form areas plus the hole flux."""
     bq = quads.bounds.gamma
-    _, _, u_nu, _, _, _, _ = _boundary_fields(model, bq)
+    _, _, u_nu, _, _, _, _ = _boundary_fields(model, bq, "g")
     lhs = float(np.sum(u_nu * bq.weights))
     breakdown = {"region_area": spec.region_area}
     for bq_h in quads.bounds.holes:
-        _, _, u_nu_h, _, _, _, _ = _boundary_fields(model, bq_h)
+        _, _, u_nu_h, _, _, _, _ = _boundary_fields(model, bq_h, "g")
         breakdown[bq_h.component] = -float(np.sum(u_nu_h * bq_h.weights))
     return IdentityReport(
         identity="value_c", lhs=lhs, rhs=sum(breakdown.values()), breakdown=breakdown
@@ -249,12 +251,12 @@ def compute_flux_constant(
     spec: DomainSpec, model: FieldModel, quads: Quadratures, mismatch_tol: float = 1e-5
 ) -> FluxConstant:
     bq = quads.bounds.gamma
-    _, _, u_nu, _, _, _, _ = _boundary_fields(model, bq)
+    _, _, u_nu, _, _, _, _ = _boundary_fields(model, bq, "g")
     gamma_len = float(np.sum(bq.weights))
     c_avg = float(np.sum(u_nu * bq.weights)) / gamma_len
     flux_holes = 0.0
     for bq_h in quads.bounds.holes:
-        _, _, u_nu_h, _, _, _, _ = _boundary_fields(model, bq_h)
+        _, _, u_nu_h, _, _, _, _ = _boundary_fields(model, bq_h, "g")
         flux_holes += float(np.sum(u_nu_h * bq_h.weights))
     c_div = (spec.region_area - flux_holes) / gamma_len
     mismatch = abs(c_div - c_avg)

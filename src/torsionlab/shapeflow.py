@@ -59,7 +59,7 @@ def energy(spec: DomainSpec, n_src_per_ring: int = 96, offset_ratio: float = 1.8
     if model is None:
         model, _ = solve_dirichlet(spec, n_src_per_ring, offset_ratio)
     quads = build_quadratures(spec, n_theta, n_r)
-    _, grad, _ = evaluate(model, quads.area.nodes)
+    _, grad, _ = evaluate(model, quads.area.nodes, "g")
     return 0.5 * float(np.sum(np.sum(grad * grad, axis=1) * quads.area.weights))
 
 

@@ -89,36 +89,42 @@ class SolveDiagnostics:
     flags: tuple[str, ...] = ()
 
 
-def evaluate(model: FieldModel, pts):
-    """(u, grad, hess) at pts; hess has shape (n, 2, 2) and trace(hess) == 1."""
+def evaluate(model: FieldModel, pts, want="ugh"):
+    """(u, grad, hess) at pts; hess has shape (n, 2, 2) and trace(hess) == 1.
+
+    want names the parts to compute (a non-empty subset of "ugh"); the others
+    come back as None.
+    """
     single = np.asarray(pts, dtype=float).ndim == 1
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    u, grad, h3 = _kernels.log_source_fields(pts, model.sources, model.coeffs)
+    u, grad, h3 = _kernels.log_source_fields(pts, model.sources, model.coeffs, want)
     diff = pts - model.anchor
-    u = u + np.sum(diff * diff, axis=1) / (2.0 * model.dim) + model.constant
-    grad = grad + diff / model.dim
-    hess = np.empty((pts.shape[0], 2, 2))
-    hess[:, 0, 0] = h3[:, 0] + 1.0 / model.dim
-    hess[:, 0, 1] = h3[:, 1]
-    hess[:, 1, 0] = h3[:, 1]
-    hess[:, 1, 1] = h3[:, 2] + 1.0 / model.dim
+    hess = None
+    if u is not None:
+        u = u + np.sum(diff * diff, axis=1) / (2.0 * model.dim) + model.constant
+    if grad is not None:
+        grad = grad + diff / model.dim
+    if h3 is not None:
+        hess = np.empty((pts.shape[0], 2, 2))
+        hess[:, 0, 0] = h3[:, 0] + 1.0 / model.dim
+        hess[:, 0, 1] = h3[:, 1]
+        hess[:, 1, 0] = h3[:, 1]
+        hess[:, 1, 1] = h3[:, 2] + 1.0 / model.dim
     if single:
-        return float(u[0]), grad[0], hess[0]
+        return (
+            None if u is None else float(u[0]),
+            None if grad is None else grad[0],
+            None if hess is None else hess[0],
+        )
     return u, grad, hess
 
 
 def evaluate_u(model: FieldModel, pts):
-    single = np.asarray(pts, dtype=float).ndim == 1
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    u, _, _ = _kernels.log_source_fields(pts, model.sources, model.coeffs)
-    diff = pts - model.anchor
-    u = u + np.sum(diff * diff, axis=1) / (2.0 * model.dim) + model.constant
-    return float(u[0]) if single else u
+    return evaluate(model, pts, "u")[0]
 
 
 def normal_derivative(model: FieldModel, pts, normals):
-    _, grad, _ = evaluate(model, np.atleast_2d(pts))
-    return np.sum(grad * np.atleast_2d(normals), axis=1)
+    return np.sum(evaluate(model, np.atleast_2d(pts), "g")[1] * np.atleast_2d(normals), axis=1)
 
 
 @dataclass(frozen=True)

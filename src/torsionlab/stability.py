@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .geometry import (
     TWO_PI,
     BoundaryQuadrature,
@@ -34,6 +35,8 @@ from .solver import FieldModel, evaluate, evaluate_u, normal_derivative
 
 N_DIM = 2
 UNIT_BALL_AREA = math.pi  # |B_1| in the plane
+# stability_report regimes; "tubular" takes the center from the boundary layer
+REGIMES = ("sphere-condition", "john-relaxed", "tubular")
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +217,14 @@ def check_oscillation_bound(
     |grad v| over the boundary layer, inflated slightly so it is a genuine
     upper bound rather than a discrete undershoot.
     """
-    u_gamma = _eval_u(v_model, quads.bounds.gamma.nodes)
+    u_gamma, _ = _eval(v_model, quads.bounds.gamma.nodes, "u")
     lhs = float(np.max(u_gamma) - np.min(u_gamma))
     tube, inner = tubular_sets(spec, r_i, r_i)
     grad_pts = np.vstack([tube.nodes, quads.bounds.gamma.nodes, inner.nodes])
-    gv = _eval_grad(v_model, grad_pts)
+    _, gv = _eval(v_model, grad_pts, "g")
     G = gradient_inflation * float(np.max(np.hypot(gv[:, 0], gv[:, 1])))
     a_const, alpha_const = oscillation_constants(N_DIM, p)
-    v_area = _eval_u(v_model, quads.area.nodes)
+    v_area, _ = _eval(v_model, quads.area.nodes, "u")
     v_mean = float(np.sum(v_area * quads.area.weights) / quads.area.total)
 
     if variant == "mean":
@@ -236,7 +239,7 @@ def check_oscillation_bound(
         nu_bar = quads.bounds.gamma.normals[i_ext]
         x0 = x_bar - r_i * nu_bar
         nodes, weights = _disk_quadrature(x0, r_i)
-        vals = _eval_u(v_model, nodes)
+        vals, _ = _eval(v_model, nodes, "u")
         norm = float(np.sum(np.abs(vals - lam) ** p * weights) ** (1.0 / p))
         r_eff = r_i
     else:
@@ -259,17 +262,17 @@ def check_oscillation_bound(
     )
 
 
-def _eval_u(v_model, pts):
+def _eval(v_model, pts, want):
+    """(u, grad) of a FieldModel, a HarmonicField, or any object with .u and
+    .grad methods; parts not in want ("u", "g" or "ug") are None."""
     if isinstance(v_model, FieldModel):
-        return evaluate_u(v_model, pts)
-    return v_model.u(pts)
-
-
-def _eval_grad(v_model, pts):
-    if isinstance(v_model, FieldModel):
-        _, grad, _ = evaluate(v_model, pts)
-        return grad
-    return v_model.grad(pts)
+        u, grad, _ = evaluate(v_model, pts, want)
+        return u, grad
+    if isinstance(v_model, HarmonicField):
+        return v_model.fields(pts, want)
+    u = v_model.u(pts) if "u" in want else None
+    grad = v_model.grad(pts) if "g" in want else None
+    return u, grad
 
 
 @dataclass(frozen=True)
@@ -280,23 +283,18 @@ class HarmonicField:
     sources: np.ndarray
     coeffs: np.ndarray
 
-    def u(self, pts):
-        from . import _kernels
+    def fields(self, pts, want):
+        """(u, grad) at pts from one kernel pass; parts not in want are None."""
+        u, grad, _ = _kernels.log_source_fields(
+            np.atleast_2d(pts), self.sources, self.coeffs, want
+        )
+        return u, grad
 
-        u, _, _ = _kernels.log_source_fields(np.atleast_2d(pts), self.sources, self.coeffs)
-        return u
+    def u(self, pts):
+        return self.fields(pts, "u")[0]
 
     def grad(self, pts):
-        from . import _kernels
-
-        _, g, _ = _kernels.log_source_fields(np.atleast_2d(pts), self.sources, self.coeffs)
-        return g
-
-    def hess3(self, pts):
-        from . import _kernels
-
-        _, _, h = _kernels.log_source_fields(np.atleast_2d(pts), self.sources, self.coeffs)
-        return h
+        return self.fields(pts, "g")[1]
 
 
 def random_harmonic_fields(spec: DomainSpec, n_fields: int, rng, n_src: int = 12):
@@ -382,51 +380,62 @@ class PoincareReport:
 def poincare_ratio_experiment(
     spec: DomainSpec,
     quads: Quadratures,
-    r: float,
-    p: float,
-    alpha: float,
+    triples,
     fields=None,
     n_fields: int = 50,
     seed: int = 0,
     r_i: float | None = None,
     d_omega: float | None = None,
-) -> PoincareReport:
+) -> list[PoincareReport]:
     """Empirical ||v - mean||_r / ||delta^alpha grad v||_p over random harmonic
-    fields, against the normalized closed-form bound (prefactor unknown in the
-    theory, set to 1 and flagged as such)."""
-    case = validate_poincare_triple(r, p, alpha)
+    fields, one report per (r, p, alpha) triple, against the normalized
+    closed-form bound (prefactor unknown in the theory, set to 1 and flagged
+    as such).
+
+    Every triple is validated before any work; each field is evaluated once
+    (u and grad together) and its arrays serve all triples.
+    """
+    triples = [tuple(t) for t in triples]
+    cases = [validate_poincare_triple(r, p, alpha) for r, p, alpha in triples]
     if fields is None:
         fields = random_harmonic_fields(spec, n_fields, np.random.default_rng(seed))
-    delta = distance_to_boundary(spec, quads.area.nodes)
+    if not fields:
+        raise ValueError("the Poincare experiment needs at least one field")
     w = quads.area.weights
-    ratios = []
+    weighted = any(alpha for _, _, alpha in triples)
+    delta = distance_to_boundary(spec, quads.area.nodes) if weighted else None
+    gims = [(delta**alpha) if alpha else np.ones_like(w) for _, _, alpha in triples]
+    ratios = [[] for _ in triples]
     for f in fields:
-        v = _eval_u(f, quads.area.nodes)
+        v, g = _eval(f, quads.area.nodes, "ug")
         v_mean = float(np.sum(v * w) / quads.area.total)
-        num = float(np.sum(np.abs(v - v_mean) ** r * w) ** (1.0 / r))
-        g = _eval_grad(f, quads.area.nodes)
-        gim = (delta**alpha) if alpha else np.ones_like(delta)
-        den = float(
-            (
-                np.sum(np.abs(gim * g[:, 0]) ** p * w)
-                + np.sum(np.abs(gim * g[:, 1]) ** p * w)
+        for (r, p, _), gim, out in zip(triples, gims, ratios):
+            num = float(np.sum(np.abs(v - v_mean) ** r * w) ** (1.0 / r))
+            den = float(
+                (
+                    np.sum(np.abs(gim * g[:, 0]) ** p * w)
+                    + np.sum(np.abs(gim * g[:, 1]) ** p * w)
+                )
+                ** (1.0 / p)
             )
-            ** (1.0 / p)
-        )
-        ratios.append(0.0 if den == 0.0 else num / den)
+            out.append(0.0 if den == 0.0 else num / den)
     d_omega = diameter(spec) if d_omega is None else d_omega
     r_i = interior_sphere_radius(spec, d_omega=d_omega) if r_i is None else r_i
-    bound = poincare_normalized_bound(case, r, p, alpha, d_omega, r_i, spec.region_area)
-    return PoincareReport(
-        case=case,
-        r=r,
-        p=p,
-        alpha=alpha,
-        n_fields=len(fields),
-        max_ratio=float(np.max(ratios)) if ratios else 0.0,
-        normalized_bound=bound,
-        ratios=tuple(ratios),
-    )
+    return [
+        PoincareReport(
+            case=case,
+            r=r,
+            p=p,
+            alpha=alpha,
+            n_fields=len(fields),
+            max_ratio=float(np.max(rs)),
+            normalized_bound=poincare_normalized_bound(
+                case, r, p, alpha, d_omega, r_i, spec.region_area
+            ),
+            ratios=tuple(rs),
+        )
+        for (r, p, alpha), case, rs in zip(triples, cases, ratios)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +628,7 @@ def hole_c2_norm(model: FieldModel, quads: Quadratures) -> float:
     stand-in for the C^2 norm on hole boundaries."""
     out = 0.0
     for bq in quads.bounds.holes:
-        u, grad, hess = evaluate(model, bq.nodes)
+        u, grad, hess = evaluate(model, bq.nodes, "ugh")
         val = (
             np.abs(u)
             + np.hypot(grad[:, 0], grad[:, 1])
@@ -632,7 +641,7 @@ def hole_c2_norm(model: FieldModel, quads: Quadratures) -> float:
 def gradient_max_on_tube(model: FieldModel, spec: DomainSpec, r_i: float) -> float:
     tube, inner = tubular_sets(spec, r_i, r_i)
     pts = np.vstack([tube.nodes, inner.nodes, spec.boundary_point(np.linspace(0, TWO_PI, 512, endpoint=False))])
-    _, grad, _ = evaluate(model, pts)
+    _, grad, _ = evaluate(model, pts, "g")
     return float(np.max(np.hypot(grad[:, 0], grad[:, 1])))
 
 
@@ -660,11 +669,12 @@ def stability_report(
     Hypothesis failures never raise: they are enumerated in the report and
     flagged so sweep-level constant fitting can exclude the instance.
     """
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     notes = []
     d_omega = diameter(spec) if d_omega is None else d_omega
     r_i = interior_sphere_radius(spec, d_omega=d_omega) if r_i is None else r_i
     bq = quads.bounds.gamma
-    u_gamma = evaluate_u(model, bq.nodes)
     u_nu = normal_derivative(model, bq.nodes, bq.normals)
     gamma_len = float(np.sum(bq.weights))
     c = float(np.sum(u_nu * bq.weights) / gamma_len)

@@ -6,15 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from torsionlab import _kernels  # noqa: E402
 from torsionlab.geometry import DomainSpec, Hole, build_quadratures  # noqa: E402
 from torsionlab.solver import radial_reference  # noqa: E402
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compile the hot kernel once so timed sections measure math, not numba
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

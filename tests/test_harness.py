@@ -123,6 +123,66 @@ def test_threads_below_one_rejected(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, path",
+    [
+        ('threads = "x"', "threads"),
+        ("threads = 1.5", "threads"),
+        ("seed = true", "seed"),
+        ("quadrature.n_r = [32]", "quadrature.n_r"),
+        ('tolerances.identity_rel = "1e-8"', "tolerances.identity_rel"),
+        ("tolerances.overdet = NaN", "tolerances.overdet"),
+        ('domain.holes = [[0.0, 0.0, "r", -0.24]]', "domain.holes[0]"),
+        ("domain.modes = [[3]]", "domain.modes"),
+        ("poincare.triples = [[2, 2]]", "poincare.triples"),
+    ],
+)
+def test_bad_value_type_exits_two(tmp_path, capsys, line, path):
+    # a value of the wrong type used to escape as a ValueError traceback
+    with pytest.raises(ConfigError) as err:
+        validate_config(parse_config_text(RADIAL_IDENTITIES + line + "\n"))
+    assert err.value.path == path
+    cfg = write(tmp_path, "bad.cfg", RADIAL_IDENTITIES + line + "\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"'{path}'" in capsys.readouterr().err
+
+
+def test_whole_float_accepted_for_integer_key():
+    cfg = validate_config(parse_config_text(RADIAL_IDENTITIES + "tolerances.growth_samples = 1e3\n"))
+    assert cfg.growth_samples == 1000 and isinstance(cfg.growth_samples, int)
+
+
+def test_unknown_regime_exits_two(tmp_path, capsys):
+    # an unknown regime used to run and be reported under its own name
+    text = RADIAL_IDENTITIES.replace('"identities"', '"stability"') + 'stability.regime = "bogus"\n'
+    with pytest.raises(ConfigError, match="stability.regime"):
+        validate_config(parse_config_text(text))
+    cfg = write(tmp_path, "regime.cfg", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "stability.regime" in capsys.readouterr().err
+
+
+def test_poincare_n_fields_below_one_exits_two(tmp_path, capsys):
+    # zero fields used to pass poincare_ratio_finite with max_ratio = 0
+    text = """
+experiment = "poincare"
+domain.outer_radius = 1.0
+poincare.n_fields = 0
+"""
+    cfg = write(tmp_path, "nfields.cfg", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "poincare.n_fields" in capsys.readouterr().err
+
+
+def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
+    # the hole_radius family builds its own centered hole; configured holes
+    # used to be ignored
+    text = SWEEP_RADIAL + "domain.holes = [[0.3, 0.0, 0.1, 0.0]]\n"
+    cfg = write(tmp_path, "radial_holes.cfg", text)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "domain.holes" in capsys.readouterr().err
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.cfg")
@@ -184,7 +244,7 @@ def test_run_radial_identities(tmp_path, capsys):
         assert entry["rel_residual"] <= 1e-8
     assert (tmp_path / "out" / "tables" / "identities.csv").exists()
     assert (tmp_path / "out" / "schema.json").exists()
-    assert report["environment"]["kernel_backend"] in ("numba", "numpy")
+    assert report["environment"]["kernel_backend"] == "numpy"
 
 
 def test_run_rejects_invalid_domain(tmp_path, capsys):

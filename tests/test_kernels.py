@@ -1,12 +1,7 @@
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
+import pytest
 
 from torsionlab import _kernels
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _reference(points, sources, coeffs):
@@ -28,49 +23,72 @@ def _reference(points, sources, coeffs):
     return u, grad, hess
 
 
+# every non-empty subset of the parts, in the order the kernel returns them
+WANTS = ("u", "g", "h", "ug", "uh", "gh", "ugh")
+
+
 def test_active_backend_matches_reference(rng):
     pts = rng.uniform(-0.7, 0.7, size=(40, 2))
     src = 2.0 * rng.standard_normal((15, 2))
     src[np.hypot(src[:, 0], src[:, 1]) < 1.2] += 3.0
     coeffs = rng.standard_normal(15)
-    u, g, h = _kernels.log_source_fields(pts, src, coeffs)
     ur, gr, hr = _reference(pts, src, coeffs)
-    assert np.max(np.abs(u - ur)) <= 1e-13
-    assert np.max(np.abs(g - gr)) <= 1e-13
-    assert np.max(np.abs(h - hr)) <= 1e-12
+    for want in ("ugh", "u", "g"):
+        u, g, h = _kernels.log_source_fields(pts, src, coeffs, want)
+        if "u" in want:
+            assert np.max(np.abs(u - ur)) <= 1e-13
+        if "g" in want:
+            assert np.max(np.abs(g - gr)) <= 1e-13
+        if "h" in want:
+            assert np.max(np.abs(h - hr)) <= 1e-12
 
 
-def test_numpy_fallback_matches_active_backend(rng):
+def _assert_parts_equal_full_call(pts, src, coeffs):
+    full = _kernels.log_source_fields(pts, src, coeffs, "ugh")
+    for want in WANTS:
+        parts = _kernels.log_source_fields(pts, src, coeffs, want)
+        for letter, part, ref in zip("ugh", parts, full):
+            if letter in want:
+                assert part.shape == ref.shape and np.array_equal(part, ref), (want, letter)
+            else:
+                assert part is None, (want, letter)
+
+
+def test_requested_parts_equal_full_call_bitwise(rng):
     pts = rng.uniform(-0.7, 0.7, size=(200, 2))
     src = np.stack([3.0 + rng.uniform(0, 1, 30), rng.uniform(-2, 2, 30)], axis=-1)
     coeffs = rng.standard_normal(30)
-    u1, g1, h1 = _kernels.log_source_fields(pts, src, coeffs)
-    u2, g2, h2 = _kernels.log_source_fields_numpy(pts, src, coeffs)
-    assert np.max(np.abs(u1 - u2)) <= 1e-12
-    assert np.max(np.abs(g1 - g2)) <= 1e-12
-    assert np.max(np.abs(h1 - h2)) <= 1e-12
+    _assert_parts_equal_full_call(pts, src, coeffs)
+
+
+def test_requested_parts_equal_full_call_across_chunks():
+    # 4000 sources give 500-point chunks, so 1200 points span three of them
+    rng = np.random.default_rng(4000)
+    pts = rng.uniform(-0.7, 0.7, size=(1200, 2))
+    theta = rng.uniform(0.0, 2.0 * np.pi, 4000)
+    src = rng.uniform(1.5, 3.0, 4000)[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    _assert_parts_equal_full_call(pts, src, rng.standard_normal(4000))
 
 
 def test_empty_source_set():
-    u, g, h = _kernels.log_source_fields(np.zeros((5, 2)), np.zeros((0, 2)), np.zeros(0))
-    assert not u.any() and not g.any() and not h.any()
+    for want in WANTS:
+        parts = _kernels.log_source_fields(np.zeros((5, 2)), np.zeros((0, 2)), np.zeros(0), want)
+        for letter, part, shape in zip("ugh", parts, [(5,), (5, 2), (5, 3)]):
+            if letter in want:
+                assert part.shape == shape and not part.any()
+            else:
+                assert part is None
+
+
+@pytest.mark.parametrize("want", ["", "x", "uv"])
+def test_rejects_unknown_parts(want):
+    with pytest.raises(ValueError, match="want"):
+        _kernels.log_source_fields(np.zeros((2, 2)), np.ones((1, 2)), np.ones(1), want)
 
 
 def test_log_part_is_harmonic(rng):
     pts = rng.uniform(-0.5, 0.5, size=(100, 2))
     src = np.stack([2.5 * np.cos(np.linspace(0, 6, 20)), 2.5 * np.sin(np.linspace(0, 6, 20))], axis=-1)
     coeffs = rng.standard_normal(20)
-    _, _, h = _kernels.log_source_fields(pts, src, coeffs)
+    _, _, h = _kernels.log_source_fields(pts, src, coeffs, "h")
     assert np.max(np.abs(h[:, 0] + h[:, 2])) <= 1e-12  # trace of the log part vanishes
-
-
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "import os; os.environ['TORSIONLAB_NO_NUMBA'] = '1';\n"
-        f"import sys; sys.path.insert(0, {SRC!r});\n"
-        "from torsionlab import _kernels; print(_kernels.BACKEND)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from torsionlab import _kernels
 from torsionlab.geometry import (
     BoundaryQuadrature,
     DomainSpec,
@@ -292,19 +293,66 @@ def test_poincare_constant_field_ratio_zero(annulus, annulus_quads):
         def grad(self, pts):
             return np.zeros((np.atleast_2d(pts).shape[0], 2))
 
-    rep = poincare_ratio_experiment(
-        annulus, annulus_quads, 2, 2, 0.5, fields=[Const()], r_i=0.4, d_omega=2.0
+    (rep,) = poincare_ratio_experiment(
+        annulus, annulus_quads, [(2, 2, 0.5)], fields=[Const()], r_i=0.4, d_omega=2.0
     )
     assert rep.max_ratio == 0.0
 
 
 def test_poincare_empirical_below_normalized_bound(annulus, annulus_quads):
-    rep = poincare_ratio_experiment(
-        annulus, annulus_quads, 2, 2, 0.5, n_fields=50, seed=3, r_i=0.4, d_omega=2.0
+    (rep,) = poincare_ratio_experiment(
+        annulus, annulus_quads, [(2, 2, 0.5)], n_fields=50, seed=3, r_i=0.4, d_omega=2.0
     )
     assert rep.n_fields == 50
     assert math.isfinite(rep.max_ratio) and rep.max_ratio > 0
     assert rep.max_ratio <= rep.normalized_bound  # informational: k=1 bound is loose
+
+
+POINCARE_TRIPLES = [(2, 2, 0.5), (4, 2, 0.5), (2, 2, 0)]
+
+
+def test_poincare_triples_equal_single_triple_calls(annulus, annulus_quads):
+    kw = dict(n_fields=10, seed=5, r_i=0.4, d_omega=2.0)
+    reports = poincare_ratio_experiment(annulus, annulus_quads, POINCARE_TRIPLES, **kw)
+    assert len(reports) == len(POINCARE_TRIPLES)
+    for triple, rep in zip(POINCARE_TRIPLES, reports):
+        (single,) = poincare_ratio_experiment(annulus, annulus_quads, [triple], **kw)
+        assert (rep.r, rep.p, rep.alpha) == triple
+        assert rep.max_ratio == single.max_ratio
+        assert rep.ratios == single.ratios
+        assert rep.case == single.case and rep.normalized_bound == single.normalized_bound
+
+
+def test_poincare_evaluates_each_field_once(annulus, annulus_quads, monkeypatch):
+    kernel = _kernels.log_source_fields
+    calls = []
+
+    def counted(points, sources, coeffs, want="ugh"):
+        calls.append(want)
+        return kernel(points, sources, coeffs, want)
+
+    monkeypatch.setattr(_kernels, "log_source_fields", counted)
+    poincare_ratio_experiment(
+        annulus, annulus_quads, POINCARE_TRIPLES, n_fields=7, seed=5, r_i=0.4, d_omega=2.0
+    )
+    assert calls == ["ug"] * 7
+
+
+def test_poincare_validates_every_triple_first(annulus, annulus_quads, monkeypatch):
+    calls = []
+    monkeypatch.setattr(_kernels, "log_source_fields", lambda *a: calls.append(a))
+    with pytest.raises(ExponentTripleError, match="r <= Np"):
+        poincare_ratio_experiment(
+            annulus, annulus_quads, [(2, 2, 0.5), (10, 2, 0.5)], n_fields=3, r_i=0.4, d_omega=2.0
+        )
+    assert calls == []
+
+
+def test_poincare_rejects_empty_field_set(annulus, annulus_quads):
+    with pytest.raises(ValueError, match="at least one field"):
+        poincare_ratio_experiment(
+            annulus, annulus_quads, [(2, 2, 0.5)], fields=[], r_i=0.4, d_omega=2.0
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +484,11 @@ def test_stability_report_john_relaxed_regime(annulus, annulus_quads, annulus_mo
     )
     assert rep.tau_exponent == pytest.approx(0.9)  # 1 - theta in the plane
     assert rep.hypotheses_pass
+
+
+def test_stability_report_rejects_unknown_regime(annulus, annulus_quads, annulus_model):
+    with pytest.raises(ValueError, match="unknown regime 'bogus'"):
+        stability_report(annulus, annulus_model, annulus_quads, regime="bogus")
 
 
 def test_stability_report_hypothesis_failure_path(annulus, annulus_quads, annulus_model):
