@@ -18,7 +18,8 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +66,11 @@ from .stability import (
     validate_poincare_triple,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXPERIMENTS = ("identities", "stability", "cauchy-stability", "shapeflow", "poincare")
+
+SWEEP_AXES = ("eps", "hole_radius")
 
 
 class ConfigError(ValueError):
@@ -288,7 +291,41 @@ def validate_config(tree: dict) -> ScenarioConfig:
     cfg.poincare_n_fields = _number(tree, "poincare.n_fields", 50, int)
     if cfg.poincare_n_fields < 1:
         raise ConfigError("poincare.n_fields", f"must be >= 1, got {cfg.poincare_n_fields}")
+    _validate_sweep(cfg)
     return cfg
+
+
+def _validate_sweep(cfg: ScenarioConfig):
+    """A sweep experiment declares its axis and values; the axis fixes the
+    field kind and the holes (there is no default hole)."""
+    axis = cfg.sweep_axis
+    if cfg.experiment == "cauchy-stability":
+        if axis is None:
+            raise ConfigError("sweep.axis", "sweep requires a declared axis")
+        if not cfg.sweep_values:
+            raise ConfigError("sweep.values", "sweep requires a nonempty, sorted value list")
+    if axis is None:
+        return
+    if axis not in SWEEP_AXES:
+        raise ConfigError("sweep.axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
+    if axis == "hole_radius":
+        if cfg.holes:
+            raise ConfigError(
+                "domain.holes",
+                "hole_radius sweeps build their own centered hole; leave domain.holes unset",
+            )
+        if cfg.field_kind != "radial":
+            raise ConfigError("field.kind", "hole_radius sweeps use field.kind=radial")
+    elif cfg.field_kind not in ("overdetermined", "cauchy-literal"):
+        raise ConfigError(
+            "field.kind",
+            f"eps sweeps use field.kind=overdetermined or cauchy-literal, got {cfg.field_kind!r}",
+        )
+    elif cfg.field_kind == "overdetermined" and len(cfg.holes) != 1:
+        raise ConfigError(
+            "domain.holes",
+            f"eps sweeps of overdetermined instances use exactly one hole, got {len(cfg.holes)}",
+        )
 
 
 def load_config(path) -> ScenarioConfig:
@@ -482,6 +519,7 @@ def run_identities(cfg: ScenarioConfig):
 
 
 def _single_stability(cfg, spec, model, label="instance"):
+    """(stability report, growth check, Hopf check) of one instance."""
     quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
     d_om = diameter(spec)
     r_i = interior_sphere_radius(spec, d_omega=d_om)
@@ -500,14 +538,14 @@ def _single_stability(cfg, spec, model, label="instance"):
     pts = random_interior_points(spec, cfg.growth_samples, rng)
     growth = check_growth(model, spec, pts, r_i)
     hopf = check_hopf(model, quads.bounds.gamma, r_i)
-    table = bound_table(spec, rep.c, rep.hole_c2_norm, r_i, d_om)
-    return quads, rep, growth, hopf, table
+    return rep, growth, hopf
 
 
 def run_stability(cfg: ScenarioConfig):
     spec = _build_spec(cfg)
     spec, model, extras = _build_field(cfg, spec)
-    quads, rep, growth, hopf, table = _single_stability(cfg, spec, model)
+    rep, growth, hopf = _single_stability(cfg, spec, model)
+    table = bound_table(spec, rep.c, rep.hole_c2_norm, rep.r_i, rep.d_omega)
     assertions = [
         Assertion(
             "hypotheses_pass",
@@ -578,52 +616,18 @@ def _stability_row(axis, value, rep):
 
 
 def _sweep_instances(cfg: ScenarioConfig):
-    """(label, value, spec, model) per sweep point."""
-    if not cfg.sweep_values:
-        raise ConfigError("sweep.values", "sweep requires a nonempty, sorted value list")
-    axis = cfg.sweep_axis
-    if axis is None:
-        raise ConfigError("sweep.axis", "sweep requires a declared axis")
-    if axis == "eps" and cfg.field_kind != "cauchy-literal" and len(cfg.holes) > 1:
-        raise ConfigError(
-            "domain.holes",
-            f"eps sweeps of overdetermined instances use one hole, got {len(cfg.holes)}",
-        )
-    if axis == "hole_radius" and cfg.holes:
-        raise ConfigError(
-            "domain.holes",
-            "hole_radius sweeps build their own centered hole; leave domain.holes unset",
-        )
+    """(label, value, spec, model) per sweep point; each point is the config
+    with the swept field replaced, built like a single run."""
     out = []
     for v in cfg.sweep_values:
-        if axis == "hole_radius":
-            if cfg.field_kind != "radial":
-                raise ConfigError("sweep.axis", "hole_radius sweeps use field.kind=radial")
-            g = (v**2 - cfg.outer_radius**2) / 4.0
-            spec = DomainSpec(cfg.outer_radius, cfg.modes, (Hole((0.0, 0.0), v, g),))
-            model = radial_annulus_model(cfg.outer_radius, v, g)
-        elif axis == "eps":
-            if cfg.field_kind == "cauchy-literal":
-                bare = DomainSpec(cfg.outer_radius, ((cfg.cauchy_k, v),), ())
-                holes = tuple(Hole((cx, cy), r, g) for cx, cy, r, g in cfg.holes)
-                model, _ = solve_cauchy(
-                    bare,
-                    cfg.cauchy_c,
-                    tikhonov=cfg.tikhonov,
-                    n_src_per_ring=max(cfg.n_src_per_ring, 128),
-                    offset_ratio=cfg.offset_ratio,
-                    future_holes=holes,
-                )
-                spec = carve_holes(bare, holes)
-            else:
-                hole = cfg.holes[0] if cfg.holes else (0.4, 0.0, 0.1, 0.0)
-                inst = overdetermined_instance(
-                    v, c=cfg.cauchy_c, hole_center=(hole[0], hole[1]), hole_radius=hole[2]
-                )
-                spec, model = inst.spec, inst.model
+        if cfg.sweep_axis == "hole_radius":
+            point = replace(cfg, holes=((0.0, 0.0, v, (v**2 - cfg.outer_radius**2) / 4.0),))
+        elif cfg.field_kind == "cauchy-literal":
+            point = replace(cfg, modes=((cfg.cauchy_k, v),))
         else:
-            raise ConfigError("sweep.axis", f"unknown sweep axis {axis!r}")
-        out.append((f"{axis}={v:g}", v, spec, model))
+            point = replace(cfg, cauchy_eps=v)
+        spec, model, _ = _build_field(point, _build_spec(point))
+        out.append((f"{cfg.sweep_axis}={v:g}", v, spec, model))
     return out
 
 
@@ -653,27 +657,12 @@ def run_cauchy_stability(cfg: ScenarioConfig):
     instances = _sweep_instances(cfg)
     reports = []
     failures = []
-
-    def one(item):
-        label, v, spec, model = item
-        quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
-        d_om = diameter(spec)
-        r_i = interior_sphere_radius(spec, d_omega=d_om)
-        rep = stability_report(
-            spec, model, quads, label=label, regime=cfg.regime,
-            tol_overdet=cfg.overdet_tol, r_i=r_i, d_omega=d_om,
-        )
-        rng = np.random.default_rng(cfg.seed)
-        pts = random_interior_points(spec, cfg.growth_samples, rng)
-        growth = check_growth(model, spec, pts, r_i)
-        hopf = check_hopf(model, quads.bounds.gamma, r_i)
-        return v, rep, growth, hopf
-
+    labels, values, specs, models = zip(*instances)
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(pool.map(one, instances))
+        results = list(pool.map(partial(_single_stability, cfg), specs, models, labels))
 
     rows = []
-    for v, rep, growth, hopf in results:
+    for v, (rep, growth, hopf) in zip(values, results):
         rows.append(_stability_row(cfg.sweep_axis, v, rep))
         reports.append(rep)
         if not rep.hypotheses_pass:

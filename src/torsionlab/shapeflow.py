@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, DomainSpec, build_quadratures, enclosing_inscribed_radii
+from .geometry import (
+    TWO_PI,
+    DomainSpec,
+    build_boundary_quadrature,
+    build_quadratures,
+    enclosing_inscribed_radii,
+)
 from .solver import FieldModel, SolverConvergenceError, evaluate, normal_derivative, solve_dirichlet
 
 
@@ -63,14 +69,6 @@ def energy(spec: DomainSpec, n_src_per_ring: int = 96, offset_ratio: float = 1.8
     return 0.5 * float(np.sum(np.sum(grad * grad, axis=1) * quads.area.weights))
 
 
-def _gamma_geometry(spec, n_theta):
-    theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    nodes = spec.boundary_point(theta)
-    normals = spec.boundary_normal(theta)
-    weights = spec.boundary_speed(theta) * (TWO_PI / n_theta)
-    return theta, nodes, normals, weights
-
-
 def _volume_project(v_n, weights):
     """Remove the dS-weighted mean so the normal field preserves area to
     first order; returns (projected field, removed mean)."""
@@ -101,8 +99,9 @@ def shape_gradient(
     """
     if model is None:
         model, _ = solve_dirichlet(spec)
-    theta, nodes, normals, weights = _gamma_geometry(spec, n_theta)
-    u_nu = normal_derivative(model, nodes, normals)
+    bq = build_boundary_quadrature(spec, n_theta).gamma
+    theta, weights = bq.theta, bq.weights
+    u_nu = normal_derivative(model, bq.nodes, bq.normals)
     v_n = np.zeros(n_theta)
     for (kind, k), amp in v_coeffs.items():
         v_n += amp * (np.cos(k * theta) if kind == "cos" else np.sin(k * theta))
@@ -177,13 +176,13 @@ def flow_to_constant_flux(
 
     def measure(s):
         model, _ = solve_dirichlet(s, n_src_per_ring)
-        theta, nodes, normals, weights = _gamma_geometry(s, n_theta)
-        u_nu = normal_derivative(model, nodes, normals)
-        total = float(np.sum(weights))
-        mean = float(np.sum(u_nu * weights) / total)
-        var = float(np.sum((u_nu - mean) ** 2 * weights) / total)
+        bq = build_boundary_quadrature(s, n_theta).gamma
+        u_nu = normal_derivative(model, bq.nodes, bq.normals)
+        total = float(np.sum(bq.weights))
+        mean = float(np.sum(u_nu * bq.weights) / total)
+        var = float(np.sum((u_nu - mean) ** 2 * bq.weights) / total)
         e = energy(s, model=model)
-        return model, theta, u_nu, mean, math.sqrt(var), e, normals
+        return model, bq.theta, u_nu, mean, math.sqrt(var), e, bq.normals
 
     model, theta, u_nu, mean, std, e0, normals = measure(spec)
     traj = [ShapeState(0, spec, e0, mean, std, 0.0, spec.outer_area)]

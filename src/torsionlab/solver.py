@@ -1,9 +1,9 @@
 """C^2-evaluable solutions of Delta u = 1 with u = 0 on the outer boundary.
 
-A field is represented as a fixed particular quadratic |x - x0|^2 / (2N) plus
+A field is represented as a fixed particular quadratic |x - x0|^2 / 4 plus
 a harmonic expansion over logarithmic point sources placed outside the region
 (outer ring) and inside each hole (inner rings), plus one free additive
-constant per source ring.  The representation satisfies the PDE identically;
+constant.  The representation satisfies the PDE identically;
 discretization error lives only on the boundaries, where the expansion is fit
 by least squares.  Two fits are provided: a well-posed Dirichlet solve with
 data g <= 0 on hole boundaries, and an ill-posed Cauchy fit matching both
@@ -37,32 +37,22 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FieldModel:
-    """u(x) = |x - anchor|^2 / (2 dim) + sum_j coeffs_j G(x - sources_j) + constants.
+    """u(x) = |x - anchor|^2 / 4 + sum_j coeffs_j G(x - sources_j) + constant.
 
-    G is the planar Laplace fundamental solution (1/2pi) log |.|; ring_slices
-    records which contiguous coefficient block belongs to which source ring and
-    ring_constants holds the free additive constant of each ring.
+    G is the planar Laplace fundamental solution (1/2pi) log |.|.
     """
 
     anchor: np.ndarray
     sources: np.ndarray
     coeffs: np.ndarray
-    ring_slices: tuple[tuple[int, int], ...] = ()
-    ring_constants: tuple[float, ...] = ()
-    dim: int = 2
-
-    @property
-    def constant(self) -> float:
-        return float(sum(self.ring_constants))
+    constant: float
 
     def to_dict(self) -> dict:
         return {
             "anchor": list(map(float, self.anchor)),
             "sources": [list(map(float, s)) for s in self.sources],
             "coefficients": list(map(float, self.coeffs)),
-            "ring_slices": [list(s) for s in self.ring_slices],
-            "ring_constants": list(map(float, self.ring_constants)),
-            "dim": self.dim,
+            "constant": float(self.constant),
         }
 
     @staticmethod
@@ -71,9 +61,7 @@ class FieldModel:
             anchor=np.asarray(d["anchor"], dtype=float),
             sources=np.asarray(d["sources"], dtype=float).reshape(-1, 2),
             coeffs=np.asarray(d["coefficients"], dtype=float),
-            ring_slices=tuple(tuple(s) for s in d["ring_slices"]),
-            ring_constants=tuple(float(c) for c in d["ring_constants"]),
-            dim=int(d.get("dim", 2)),
+            constant=float(d["constant"]),
         )
 
 
@@ -101,15 +89,15 @@ def evaluate(model: FieldModel, pts, want="ugh"):
     diff = pts - model.anchor
     hess = None
     if u is not None:
-        u = u + np.sum(diff * diff, axis=1) / (2.0 * model.dim) + model.constant
+        u = u + np.sum(diff * diff, axis=1) / 4.0 + model.constant
     if grad is not None:
-        grad = grad + diff / model.dim
+        grad = grad + diff / 2.0
     if h3 is not None:
         hess = np.empty((pts.shape[0], 2, 2))
-        hess[:, 0, 0] = h3[:, 0] + 1.0 / model.dim
+        hess[:, 0, 0] = h3[:, 0] + 0.5
         hess[:, 0, 1] = h3[:, 1]
         hess[:, 1, 0] = h3[:, 1]
-        hess[:, 1, 1] = h3[:, 2] + 1.0 / model.dim
+        hess[:, 1, 1] = h3[:, 2] + 0.5
     if single:
         return (
             None if u is None else float(u[0]),
@@ -168,8 +156,7 @@ class RadialTorsion:
             anchor=np.zeros(2),
             sources=np.zeros((0, 2)),
             coeffs=np.zeros(0),
-            ring_slices=(),
-            ring_constants=(-self.R * self.R / 4.0,),
+            constant=-self.R * self.R / 4.0,
         )
 
 
@@ -191,8 +178,7 @@ def radial_annulus_model(R: float, hole_radius: float, g: float) -> FieldModel:
         anchor=np.zeros(2),
         sources=np.zeros((1, 2)),
         coeffs=np.array([TWO_PI * A]),
-        ring_slices=((0, 1),),
-        ring_constants=(B,),
+        constant=B,
     )
 
 
@@ -201,16 +187,15 @@ def radial_annulus_model(R: float, hole_radius: float, g: float) -> FieldModel:
 # ---------------------------------------------------------------------------
 
 
-def _outer_sources(spec: DomainSpec, n: int, offset_ratio: float):
+def _source_rings(spec: DomainSpec, holes, n: int, offset_ratio: float):
+    """n log sources on a ring outside the outer curve (offset_ratio times its
+    radius), then n on a ring inside each hole (its radius / offset_ratio)."""
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    r = spec.radius(theta) * offset_ratio
-    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-
-
-def _hole_sources(hole, n: int, offset_ratio: float):
-    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    r = hole.radius / offset_ratio
-    return np.asarray(hole.center) + r * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    rings = [(spec.radius(theta) * offset_ratio)[:, None] * circle]
+    for hole in holes:
+        rings.append(np.asarray(hole.center) + (hole.radius / offset_ratio) * circle)
+    return np.concatenate(rings)
 
 
 def _kernel_block(pts, sources):
@@ -225,18 +210,6 @@ def _kernel_normal_block(pts, normals, sources):
     dy = pts[:, 1, None] - sources[None, :, 1]
     d2 = dx * dx + dy * dy
     return (normals[:, 0, None] * dx + normals[:, 1, None] * dy) / d2 / TWO_PI
-
-
-def _assemble_rings(spec: DomainSpec, n_src_per_ring: int, offset_ratio: float):
-    rings = [_outer_sources(spec, n_src_per_ring, offset_ratio)]
-    for hole in spec.holes:
-        rings.append(_hole_sources(hole, n_src_per_ring, offset_ratio))
-    slices = []
-    start = 0
-    for ring in rings:
-        slices.append((start, start + ring.shape[0]))
-        start += ring.shape[0]
-    return np.concatenate(rings), tuple(slices)
 
 
 def _svd_solve(A, b, tikhonov, n_src, rcond=1e-13):
@@ -265,17 +238,6 @@ def _svd_solve(A, b, tikhonov, n_src, rcond=1e-13):
     return coef, cond, truncated, lam
 
 
-def _model_from_solution(sources, slices, coef):
-    n_src = sources.shape[0]
-    return FieldModel(
-        anchor=np.zeros(2),
-        sources=sources,
-        coeffs=coef[:n_src],
-        ring_slices=slices,
-        ring_constants=tuple(float(c) for c in coef[n_src:]),
-    )
-
-
 def _boundary_residuals(model, spec, n_check, data_fn):
     """Max |u - data| per component on fresh nodes (4x denser than collocation)."""
     quads = build_boundary_quadrature(spec, n_check)
@@ -301,7 +263,7 @@ def solve_dirichlet(
         raise InvalidDomainError("n_src_per_ring must be >= 32")
     if not 1.1 <= offset_ratio <= 3.0:
         raise InvalidDomainError("offset_ratio must lie in [1.1, 3]")
-    sources, slices = _assemble_rings(spec, n_src_per_ring, offset_ratio)
+    sources = _source_rings(spec, spec.holes, n_src_per_ring, offset_ratio)
     n_col = 2 * n_src_per_ring
     theta_col = np.linspace(0.0, TWO_PI, n_col, endpoint=False)
     components = [(spec.boundary_point(theta_col), 0.0)]
@@ -309,7 +271,7 @@ def solve_dirichlet(
         components.append((hole.boundary_points(theta_col), hole.dirichlet_value))
     rows_A, rows_b = [], []
     n_src = sources.shape[0]
-    n_rings = len(slices)
+    n_rings = 1 + len(spec.holes)
     for nodes, target in components:
         A = np.empty((nodes.shape[0], n_src + n_rings))
         A[:, :n_src] = _kernel_block(nodes, sources)
@@ -320,7 +282,8 @@ def solve_dirichlet(
     A = np.vstack(rows_A)
     b = np.concatenate(rows_b)
     coef, cond, truncated, lam = _svd_solve(A, b, tikhonov=0.0, n_src=n_src)
-    model = _model_from_solution(sources, slices, coef)
+    # the per-ring constants only ever act through their sum
+    model = FieldModel(np.zeros(2), sources, coef[:n_src], sum(map(float, coef[n_src:])))
 
     def data(bq):
         if bq.component == "gamma":
@@ -368,15 +331,7 @@ def solve_cauchy(
         raise InvalidDomainError("tikhonov weight must be >= 0")
     if n_src_per_ring < 32:
         raise InvalidDomainError("n_src_per_ring must be >= 32")
-    rings = [_outer_sources(spec, n_src_per_ring, offset_ratio)]
-    for hole in future_holes:
-        rings.append(_hole_sources(hole, n_src_per_ring, offset_ratio))
-    slices = []
-    start = 0
-    for ring in rings:
-        slices.append((start, start + ring.shape[0]))
-        start += ring.shape[0]
-    sources, slices = np.concatenate(rings), tuple(slices)
+    sources = _source_rings(spec, future_holes, n_src_per_ring, offset_ratio)
     n_src = sources.shape[0]
     n_col = max(64, 2 * n_src_per_ring)
     quads = build_boundary_quadrature(spec, n_col)
@@ -391,13 +346,7 @@ def solve_cauchy(
     A = np.vstack([A_u, A_n])
     b = np.concatenate([b_u, b_n])
     coef, cond, truncated, lam = _svd_solve(A, b, tikhonov=tikhonov, n_src=n_src)
-    model = FieldModel(
-        anchor=np.zeros(2),
-        sources=sources,
-        coeffs=coef[:n_src],
-        ring_slices=slices,
-        ring_constants=(float(coef[n_src]),) + (0.0,) * len(future_holes),
-    )
+    model = FieldModel(np.zeros(2), sources, coef[:n_src], float(coef[n_src]))
 
     check = build_boundary_quadrature(spec, 4 * n_col).gamma
     res_u = float(np.max(np.abs(evaluate_u(model, check.nodes))))
@@ -592,8 +541,7 @@ def overdetermined_instance(
         anchor=p.copy(),
         sources=np.concatenate([out_src + p, inner + p]),
         coeffs=np.concatenate([coef[:n_out], q_in]),
-        ring_slices=((0, n_out), (n_out, n_out + n_in)),
-        ring_constants=(float(coef[n_out]), 0.0),
+        constant=float(coef[n_out]),
     )
     check = build_boundary_quadrature(spec, 1024)
     res_u = float(np.max(np.abs(evaluate_u(model, check.gamma.nodes))))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -183,6 +184,23 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
     assert "domain.holes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        (SWEEP_EPS.replace('sweep.axis = "eps"', 'sweep.axis = "radius"'), "sweep.axis"),
+        (SWEEP_RADIAL + "domain.holes = [[0.3, 0.0, 0.1, 0.0]]\n", "domain.holes"),
+        (SWEEP_EPS.replace('field.kind = "overdetermined"\n', ""), "field.kind"),
+        (SWEEP_EPS.replace("0.1, 0.0]]", "0.1, 0.0], [-0.4, 0.0, 0.1, 0.0]]"), "domain.holes"),
+        (SWEEP_EPS.replace("domain.holes = [[0.4, 0.0, 0.1, 0.0]]\n", ""), "domain.holes"),
+    ],
+    ids=["unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes", "eps-no-hole"],
+)
+def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):
+    cfg = write(tmp_path, "sweep.cfg", text)
+    assert main(["validate", cfg]) == 2
+    assert f"'{path}'" in capsys.readouterr().err
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.cfg")
@@ -276,7 +294,8 @@ def test_run_report_serializes_field_model(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     model = report["results"]["field_model"]
-    assert set(model) >= {"anchor", "sources", "coefficients", "ring_constants"}
+    assert set(model) == {"anchor", "sources", "coefficients", "constant"}
+    assert model["constant"] == -0.25
     from torsionlab.solver import FieldModel, evaluate_u, radial_annulus_model
 
     clone = FieldModel.from_dict(model)
@@ -354,6 +373,22 @@ def test_sweep_eps_rejects_extra_holes(tmp_path, capsys):
     cfg = write(tmp_path, "two_holes.cfg", two)
     assert main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "domain.holes" in capsys.readouterr().err
+
+
+def test_sweep_point_equals_single_run(tmp_path):
+    # a sweep point is the single-run config with the swept field replaced
+    def rows(out):
+        with open(out / "tables" / "instances.csv", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    assert main(["sweep", write(tmp_path, "sweep.cfg", SWEEP_EPS), "--out", str(tmp_path / "s")]) == 0
+    single = SWEEP_EPS.replace('"cauchy-stability"', '"stability"') + "cauchy.eps = 0.02\n"
+    assert main(["run", write(tmp_path, "run.cfg", single), "--out", str(tmp_path / "r")]) == 0
+    (point,) = [r for r in rows(tmp_path / "s") if r["value"] == "0.02"]
+    (run,) = rows(tmp_path / "r")
+    for key in ("axis", "value", "label"):
+        del point[key], run[key]
+    assert point == run
 
 
 def test_sweep_determinism_byte_identical(tmp_path):

@@ -80,19 +80,27 @@ def test_gradient_matches_central_difference():
     assert abs(sg.derivative - fd) / (abs(fd) + 1e-12) <= 1e-4
 
 
-def test_gradient_fd_random_fields(rng):
+def test_gradient_fd_random_fields():
+    # its own stream, so the draws do not depend on which tests ran before;
+    # seed 1 draws one odd-only pair on the even-mode domain
+    rng = np.random.default_rng(1)
     specs = [DomainSpec(1.0, ((2, 0.05),)), DomainSpec(1.0, ((3, 0.04), (2, 0.02)))]
     t = 1e-4
     checked = 0
     for spec in specs:
+        even_domain = all(m % 2 == 0 for m, _ in spec.fourier_modes)
         for _ in range(3):
             coeffs = {("cos", int(k)): float(rng.uniform(-1, 1)) for k in rng.choice([1, 2, 3, 4], 2, replace=False)}
             sg = shape_gradient(spec, coeffs)
-            fn = _volume_projected(spec, coeffs)
-            fd = (
-                energy(perturb_radially(spec, fn, t)) - energy(perturb_radially(spec, fn, -t))
-            ) / (2 * t)
-            assert abs(sg.derivative - fd) / (abs(fd) + 1e-12) <= 1e-3
+            if even_domain and all(k % 2 for _, k in coeffs):
+                # zero by parity, where a relative check is meaningless
+                assert abs(sg.derivative) <= 1e-12
+            else:
+                fn = _volume_projected(spec, coeffs)
+                fd = (
+                    energy(perturb_radially(spec, fn, t)) - energy(perturb_radially(spec, fn, -t))
+                ) / (2 * t)
+                assert abs(sg.derivative - fd) / (abs(fd) + 1e-12) <= 1e-3
             checked += 1
     assert checked == 6
 
