@@ -11,7 +11,7 @@ disks, and boundary-layer (tubular) node sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -223,14 +223,15 @@ class DomainSpec:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self._inside_outer(pts) & ~self._in_any_hole_closed(pts)
 
-    def _distance_to_outer(self, pts, n_seed: int = 720):
+    def _distance_to_outer(self, pts):
         """Distance from interior-ish points to the outer curve.
 
-        Each point starts from its nearest of n_seed equispaced curve samples
+        Each point starts from its nearest of 720 equispaced curve samples
         and is Newton-polished on the foot-point angle until its own step
         falls below 1e-15 (at most 40 steps).
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        n_seed = 720
         seeds = np.linspace(0.0, TWO_PI, n_seed, endpoint=False)
         bp = self.boundary_point(seeds)  # (s, 2)
         # nearest seed per point, in row blocks of ~64k point-seed pairs
@@ -506,15 +507,11 @@ def distance_to_boundary(spec: DomainSpec, pts):
     return float(d[0]) if single else d
 
 
-def interior_sphere_radius(
-    spec: DomainSpec,
-    resolution: float = 1e-6,
-    n_probe: int = 512,
-    d_omega: float | None = None,
-) -> float:
+def interior_sphere_radius(spec: DomainSpec, d_omega: float | None = None) -> float:
     """Estimate of the uniform interior-sphere radius.
 
-    For boundary probes p, binary-searches the largest r such that the ball of
+    For boundary probes p (512 on the outer curve, 256 on each hole),
+    binary-searches to within 1e-6 the largest r such that the ball of
     radius r tangent at p (center p - r * normal) stays inside the region, up
     to a slack of 1e-9 in the distance test; on the outer curve the search is
     additionally capped by 1/max curvature.  Balls are only tested at the
@@ -522,6 +519,7 @@ def interior_sphere_radius(
     is the diameter when the caller already has it (it caps the search on
     hole boundaries).
     """
+    resolution, n_probe = 1e-6, 512
     probes, normals, caps = [], [], []
     theta = np.linspace(0.0, TWO_PI, n_probe, endpoint=False)
     probes.append(spec.boundary_point(theta))
@@ -638,7 +636,7 @@ def enclosing_inscribed_radii(spec: DomainSpec, z) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def intersection_area_with_disk(spec: DomainSpec, z, radius: float, n_theta: int = 512) -> float:
+def intersection_area_with_disk(spec: DomainSpec, z, radius: float) -> float:
     """|Omega intersect B_radius(z)| for Omega the region enclosed by the outer curve.
 
     Polar panels break where rays from the origin graze the disk and where the
@@ -677,7 +675,7 @@ def intersection_area_with_disk(spec: DomainSpec, z, radius: float, n_theta: int
             a = np.where(left, a, m)
             ga = np.where(left, ga, gm)
         breaks.extend(((0.5 * (a + b)) % TWO_PI).tolist())
-    theta, weights = _paneled_theta_rule(sorted(breaks), n_theta)
+    theta, weights = _paneled_theta_rule(sorted(breaks), 512)
     # radial chord of the disk along each ray, clipped to [0, r(theta)]
     p = z[0] * np.cos(theta) + z[1] * np.sin(theta)
     disc = radius * radius - (z[0] ** 2 + z[1] ** 2 - p * p)

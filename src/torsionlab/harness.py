@@ -18,7 +18,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -120,9 +120,6 @@ CONFIG_KEYS = frozenset(
         "domain.modes",
         "domain.holes",
         "field.kind",
-        "solver.n_src_per_ring",
-        "solver.offset_ratio",
-        "solver.tikhonov",
         "quadrature.n_theta",
         "quadrature.n_r",
         "tolerances.identity_rel",
@@ -134,8 +131,6 @@ CONFIG_KEYS = frozenset(
         "cauchy.c",
         "cauchy.k",
         "cauchy.eps",
-        "flow.max_iters",
-        "flow.flatness_tol",
         "poincare.triples",
         "poincare.n_fields",
     }
@@ -198,9 +193,6 @@ class ScenarioConfig:
     modes: tuple = ()
     holes: tuple = ()
     field_kind: str = "dirichlet"
-    n_src_per_ring: int = 96
-    offset_ratio: float = 1.8
-    tikhonov: float | None = None
     n_theta: int = 256
     n_r: int = 48
     identity_rel_tol: float = 1e-4
@@ -212,8 +204,6 @@ class ScenarioConfig:
     cauchy_c: float = 0.5
     cauchy_k: int = 3
     cauchy_eps: float = 0.01
-    flow_max_iters: int = 200
-    flow_flatness_tol: float = 1e-3
     poincare_triples: tuple = ((2.0, 2.0, 0.5),)
     poincare_n_fields: int = 50
     raw: dict = dc_field(default_factory=dict)
@@ -249,10 +239,11 @@ def validate_config(tree: dict) -> ScenarioConfig:
     cfg.field_kind = str(_get(tree, "field.kind", "dirichlet"))
     if cfg.field_kind not in ("radial", "dirichlet", "overdetermined", "cauchy-literal"):
         raise ConfigError("field.kind", f"unknown field kind {cfg.field_kind!r}")
-    cfg.n_src_per_ring = _number(tree, "solver.n_src_per_ring", 96, int)
-    cfg.offset_ratio = _number(tree, "solver.offset_ratio", 1.8)
-    tik = _get(tree, "solver.tikhonov", None)
-    cfg.tikhonov = None if tik is None else _typed("solver.tikhonov", tik, float)
+    if cfg.field_kind == "overdetermined" and cfg.modes:
+        raise ConfigError(
+            "domain.modes",
+            "overdetermined instances build their own outer curve; leave domain.modes unset",
+        )
     cfg.n_theta = _number(tree, "quadrature.n_theta", 256, int)
     cfg.n_r = _number(tree, "quadrature.n_r", 48, int)
     if cfg.n_theta < 64 or cfg.n_theta % 2:
@@ -273,8 +264,6 @@ def validate_config(tree: dict) -> ScenarioConfig:
     cfg.cauchy_c = _number(tree, "cauchy.c", 0.5)
     cfg.cauchy_k = _number(tree, "cauchy.k", 3, int)
     cfg.cauchy_eps = _number(tree, "cauchy.eps", 0.01)
-    cfg.flow_max_iters = _number(tree, "flow.max_iters", 200, int)
-    cfg.flow_flatness_tol = _number(tree, "flow.flatness_tol", 1e-3)
     triples = _lists_of(
         "poincare.triples", _get(tree, "poincare.triples", [[2.0, 2.0, 0.5]]), 3,
         "[r, p, alpha] triples",
@@ -360,7 +349,7 @@ def _build_field(cfg: ScenarioConfig, spec: DomainSpec):
             model = radial_reference(spec.outer_radius).as_field_model()
         return spec, model, {}
     if cfg.field_kind == "dirichlet":
-        model, diag = solve_dirichlet(spec, cfg.n_src_per_ring, cfg.offset_ratio)
+        model, diag = solve_dirichlet(spec)
         return spec, model, {"solver": diag}
     if cfg.field_kind == "overdetermined":
         if len(spec.holes) != 1:
@@ -372,14 +361,7 @@ def _build_field(cfg: ScenarioConfig, spec: DomainSpec):
         return inst.spec, inst.model, {"instance": inst}
     # cauchy-literal: continue from the hole-free curve, then carve
     bare = DomainSpec(spec.outer_radius, spec.fourier_modes, ())
-    model, diag = solve_cauchy(
-        bare,
-        cfg.cauchy_c,
-        tikhonov=cfg.tikhonov,
-        n_src_per_ring=max(cfg.n_src_per_ring, 128),
-        offset_ratio=cfg.offset_ratio,
-        future_holes=spec.holes,
-    )
+    model, diag = solve_cauchy(bare, cfg.cauchy_c, future_holes=spec.holes)
     return carve_holes(bare, spec.holes), model, {"solver": diag}
 
 
@@ -427,31 +409,8 @@ def _finite(value):
 
 
 def _report_from_stability(rep):
-    return _finite(
-        {
-            "label": rep.label,
-            "regime": rep.regime,
-            "z": rep.z,
-            "z_formula": rep.z_formula,
-            "c": rep.c,
-            "rho_e": rep.rho_e,
-            "rho_i": rep.rho_i,
-            "pseudo_distance": rep.pseudo_distance,
-            "asymmetry": rep.asymmetry,
-            "r_i": rep.r_i,
-            "d_omega": rep.d_omega,
-            "grad_max_tube": rep.grad_max_tube,
-            "hole_c2_norm": rep.hole_c2_norm,
-            "holes_perimeter": rep.holes_perimeter,
-            "holes_diameter_sup": rep.holes_diameter_sup,
-            "eta": rep.eta,
-            "psi_eta": rep.psi_eta,
-            "tau_exponent": rep.tau_exponent,
-            "hypotheses": rep.hypotheses,
-            "ratios": rep.ratios,
-            "notes": list(rep.notes),
-        }
-    )
+    """Every StabilityReport field but the comparison, in declaration order."""
+    return _finite({f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "comparison"})
 
 
 # ---------------------------------------------------------------------------
@@ -707,12 +666,7 @@ def run_cauchy_stability(cfg: ScenarioConfig):
 
 def run_shapeflow(cfg: ScenarioConfig):
     spec = _build_spec(cfg)
-    result = flow_to_constant_flux(
-        spec,
-        max_iters=cfg.flow_max_iters,
-        flatness_tol=cfg.flow_flatness_tol,
-        n_src_per_ring=cfg.n_src_per_ring,
-    )
+    result = flow_to_constant_flux(spec)
     round_ = final_roundness(result)
     energies = [s.energy for s in result.trajectory]
     monotone = all(b >= a - 1e-9 for a, b in zip(energies, energies[1:]))
@@ -818,7 +772,7 @@ INSTANCE_COLUMNS = (
     ("axis", "sweep axis name"),
     ("value", "sweep axis value (domain units)"),
     ("label", "instance label"),
-    ("eta", "smallness driver (hole perimeter or sup hole diameter)"),
+    ("eta", "smallness driver (total hole perimeter)"),
     ("holes_perimeter", "total hole boundary length"),
     ("pseudo_distance", "integral over outer curve of (|x-z|/N - c)^2 dS"),
     ("asymmetry", "|Omega sym-diff B_Nc(z)| / |B_Nc(z)|"),
@@ -886,10 +840,10 @@ def write_tables(out_dir: Path, tables: dict) -> dict:
     return schema
 
 
-def execute(cfg: ScenarioConfig, out_dir=None):
-    t0 = time.time()
+def execute(cfg: ScenarioConfig):
+    t0 = time.perf_counter()
     payload, tables, assertions = RUNNERS[cfg.experiment](cfg)
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     schema = write_tables(out, tables)
     (out / "schema.json").write_text(json.dumps(schema, indent=2, sort_keys=True) + "\n")
@@ -905,7 +859,7 @@ def execute(cfg: ScenarioConfig, out_dir=None):
             "platform": platform.platform(),
             "kernel_backend": _kernels.BACKEND,
         },
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
         "assertions": [
             {"name": a.name, "passed": bool(a.passed), "witness": a.witness}
             for a in assertions

@@ -51,14 +51,14 @@ class IdentityReport:
         return abs(self.lhs - self.rhs) / (abs(self.lhs) + abs(self.rhs) + 1.0)
 
 
-def p_function(model: FieldModel, pts, n_dim: int = N_DIM):
+def p_function(model: FieldModel, pts):
     """|grad u|^2 - (2/N) u, the subharmonic companion of the field."""
     u, grad, _ = evaluate(model, np.atleast_2d(np.asarray(pts, dtype=float)), "ug")
-    out = np.sum(grad * grad, axis=1) - (2.0 / n_dim) * u
+    out = np.sum(grad * grad, axis=1) - (2.0 / N_DIM) * u
     return float(out[0]) if np.asarray(pts).ndim == 1 else out
 
 
-def cauchy_schwarz_deficit(model: FieldModel, pts, n_dim: int = N_DIM):
+def cauchy_schwarz_deficit(model: FieldModel, pts):
     """|hess u|_F^2 - (lap u)^2 / N >= 0; zero exactly for the radial field.
 
     Cross-checked against |hess h|_F^2 for h = quadratic - u, which is the
@@ -68,7 +68,7 @@ def cauchy_schwarz_deficit(model: FieldModel, pts, n_dim: int = N_DIM):
     _, _, hess = evaluate(model, np.atleast_2d(np.asarray(pts, dtype=float)), "h")
     frob = np.sum(hess * hess, axis=(1, 2))
     lap = hess[:, 0, 0] + hess[:, 1, 1]
-    out = frob - lap * lap / n_dim
+    out = frob - lap * lap / N_DIM
     if np.min(out) < -1e-12:
         raise ArithmeticError(
             f"negative Cauchy-Schwarz deficit {np.min(out):.3e}: Hessian inconsistency"
@@ -247,9 +247,9 @@ class FluxConstant:
     inconsistent: bool
 
 
-def compute_flux_constant(
-    spec: DomainSpec, model: FieldModel, quads: Quadratures, mismatch_tol: float = 1e-5
-) -> FluxConstant:
+def compute_flux_constant(spec: DomainSpec, model: FieldModel, quads: Quadratures) -> FluxConstant:
+    """c from the outer-curve average of u_nu and from the divergence
+    identity; the two are inconsistent when they differ by more than 1e-5."""
     bq = quads.bounds.gamma
     _, _, u_nu, _, _, _, _ = _boundary_fields(model, bq, "g")
     gamma_len = float(np.sum(bq.weights))
@@ -264,5 +264,5 @@ def compute_flux_constant(
         from_divergence=c_div,
         from_average=c_avg,
         mismatch=mismatch,
-        inconsistent=mismatch > mismatch_tol,
+        inconsistent=mismatch > 1e-5,
     )

@@ -59,11 +59,11 @@ class FlowResult:
         return self.trajectory[-1]
 
 
-def energy(spec: DomainSpec, n_src_per_ring: int = 96, offset_ratio: float = 1.8,
-           n_theta: int = 256, n_r: int = 48, model: FieldModel | None = None) -> float:
+def energy(spec: DomainSpec, n_src_per_ring: int = 96, n_theta: int = 256, n_r: int = 48,
+           model: FieldModel | None = None) -> float:
     """(1/2) integral over the region of |grad u|^2 for the torsion field."""
     if model is None:
-        model, _ = solve_dirichlet(spec, n_src_per_ring, offset_ratio)
+        model, _ = solve_dirichlet(spec, n_src_per_ring)
     quads = build_quadratures(spec, n_theta, n_r)
     _, grad, _ = evaluate(model, quads.area.nodes, "g")
     return 0.5 * float(np.sum(np.sum(grad * grad, axis=1) * quads.area.weights))
@@ -83,26 +83,20 @@ class ShapeGradient:
     removed_volume_component: float
 
 
-def shape_gradient(
-    spec: DomainSpec,
-    v_coeffs: dict,
-    model: FieldModel | None = None,
-    n_theta: int = 512,
-    mode_basis: tuple = (),
-) -> ShapeGradient:
+def shape_gradient(spec: DomainSpec, v_coeffs: dict, mode_basis: tuple = ()) -> ShapeGradient:
     """I'(0) = (1/2) integral u_nu^2 <nu, v> dS for a normal velocity given by
-    cosine/sine coefficients v_coeffs = {("cos", k): a, ("sin", k): b}.
+    cosine/sine coefficients v_coeffs = {("cos", k): a, ("sin", k): b}, from
+    the Dirichlet solve on 512 boundary nodes.
 
     The field is projected onto the volume-preserving class (zero dS-weighted
     mean); the removed component is reported.  mode_gradient returns the same
     boundary integral against each projected basis mode in mode_basis.
     """
-    if model is None:
-        model, _ = solve_dirichlet(spec)
-    bq = build_boundary_quadrature(spec, n_theta).gamma
+    model, _ = solve_dirichlet(spec)
+    bq = build_boundary_quadrature(spec, 512).gamma
     theta, weights = bq.theta, bq.weights
     u_nu = normal_derivative(model, bq.nodes, bq.normals)
-    v_n = np.zeros(n_theta)
+    v_n = np.zeros(bq.n_nodes)
     for (kind, k), amp in v_coeffs.items():
         v_n += amp * (np.cos(k * theta) if kind == "cos" else np.sin(k * theta))
     v_proj, removed = _volume_project(v_n, weights)
@@ -117,22 +111,22 @@ def shape_gradient(
     )
 
 
-def perturb_radially(spec: DomainSpec, v_n_fn, t: float, n_modes: int = 24,
-                     n_fft: int = 1024) -> DomainSpec:
+def perturb_radially(spec: DomainSpec, v_n_fn, t: float) -> DomainSpec:
     """The domain flowed for time t along the normal velocity v_n_fn(theta):
-    realized as the radial update r += t * v_n / <nu, e_r>, refit to the cosine
-    family.  Exact at t=0 in the initial velocity, so central differences of
-    smooth functionals converge at O(t^2)."""
-    theta = np.linspace(0.0, TWO_PI, n_fft, endpoint=False)
+    realized as the radial update r += t * v_n / <nu, e_r> at 1024 angles,
+    refit to the first 24 cosine modes.  Exact at t=0 in the initial
+    velocity, so central differences of smooth functionals converge at
+    O(t^2)."""
+    theta = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
     r = spec.radius(theta)
     normals = spec.boundary_normal(theta)
     e_r = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     cosf = np.sum(normals * e_r, axis=1)
     r_new = r + t * np.asarray(v_n_fn(theta)) / cosf
-    return _cosine_fit(r_new, n_modes)
+    return _cosine_fit(r_new, 24)
 
 
-def _cosine_fit(r_values, n_modes, holes=()) -> DomainSpec:
+def _cosine_fit(r_values, n_modes) -> DomainSpec:
     n = r_values.size
     fc = np.fft.rfft(r_values) / n
     R0 = fc[0].real
@@ -141,7 +135,7 @@ def _cosine_fit(r_values, n_modes, holes=()) -> DomainSpec:
         a = 2.0 * fc[k].real / R0
         if abs(a) > 1e-15:
             modes.append((k, a))
-    return DomainSpec(outer_radius=R0, fourier_modes=tuple(modes), holes=tuple(holes))
+    return DomainSpec(outer_radius=R0, fourier_modes=tuple(modes))
 
 
 def _rescale_area(spec: DomainSpec, target_area: float) -> DomainSpec:
@@ -153,30 +147,25 @@ def _rescale_area(spec: DomainSpec, target_area: float) -> DomainSpec:
     )
 
 
-def flow_to_constant_flux(
-    spec: DomainSpec,
-    max_iters: int = 200,
-    flatness_tol: float = 1e-3,
-    n_modes: int = 16,
-    n_theta: int = 512,
-    n_src_per_ring: int = 96,
-    energy_tol: float = 1e-9,
-    max_halvings: int = 12,
-) -> FlowResult:
+def flow_to_constant_flux(spec: DomainSpec) -> FlowResult:
     """Evolve the outer curve along +(u_nu^2 - mean) normal velocity, with
-    exact area restoration each step, until u_nu is flat to flatness_tol.
+    exact area restoration each step, until u_nu is flat to flatness_tol =
+    1e-3, for at most max_iters = 200 steps.
 
-    Steps are accepted when the energy does not decrease beyond energy_tol
-    (the disk is the fixed-area maximizer); a rejected step is halved, and
-    more than max_halvings halvings stalls the flow.
+    u_nu comes from a Dirichlet solve (96 sources per ring) on 512 boundary
+    nodes, and each step is refit to the first 16 cosine modes.  Steps are
+    accepted when the energy does not decrease beyond energy_tol = 1e-9 (the
+    disk is the fixed-area maximizer); a rejected step is halved, and more
+    than max_halvings = 12 halvings stalls the flow.
     """
+    max_iters, flatness_tol, energy_tol, max_halvings = 200, 1e-3, 1e-9, 12
     if sum(abs(e) for _, e in spec.fourier_modes) > 0.1 + 1e-12:
         raise ValueError("initial perturbation amplitudes must satisfy sum |eps_k| <= 0.1")
     target_area = spec.outer_area
 
     def measure(s):
-        model, _ = solve_dirichlet(s, n_src_per_ring)
-        bq = build_boundary_quadrature(s, n_theta).gamma
+        model, _ = solve_dirichlet(s)
+        bq = build_boundary_quadrature(s, 512).gamma
         u_nu = normal_derivative(model, bq.nodes, bq.normals)
         total = float(np.sum(bq.weights))
         mean = float(np.sum(u_nu * bq.weights) / total)
@@ -203,7 +192,7 @@ def flow_to_constant_flux(
         accepted = False
         for _ in range(max_halvings + 1):
             try:
-                cand = _cosine_fit(r_cur + step * v_n / cosf, n_modes)
+                cand = _cosine_fit(r_cur + step * v_n / cosf, 16)
                 cand = _rescale_area(cand, target_area)
                 m2, th2, u2, mean2, std2, e2, n2 = measure(cand)
             except (SolverConvergenceError, ValueError):

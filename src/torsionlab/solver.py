@@ -74,7 +74,6 @@ class SolveDiagnostics:
     truncated_modes: int
     n_collocation: int
     n_unknowns: int
-    flags: tuple[str, ...] = ()
 
 
 def evaluate(model: FieldModel, pts, want="ugh"):
@@ -132,10 +131,6 @@ class RadialTorsion:
 
     @property
     def c(self) -> float:
-        return self.R / self.N
-
-    @property
-    def boundary_normal_derivative(self) -> float:
         return self.R / self.N
 
     def u(self, rho):
@@ -198,6 +193,10 @@ def _source_rings(spec: DomainSpec, holes, n: int, offset_ratio: float):
     return np.concatenate(rings)
 
 
+# relative singular-value cutoff of every least-squares fit
+RCOND = 1e-13
+
+
 def _kernel_block(pts, sources):
     d2 = (pts[:, 0, None] - sources[None, :, 0]) ** 2 + (
         pts[:, 1, None] - sources[None, :, 1]
@@ -212,13 +211,14 @@ def _kernel_normal_block(pts, normals, sources):
     return (normals[:, 0, None] * dx + normals[:, 1, None] * dy) / d2 / TWO_PI
 
 
-def _svd_solve(A, b, tikhonov, n_src, rcond=1e-13):
+def _svd_solve(A, b, tikhonov, n_src):
     """Minimal-norm least squares through the SVD with optional Tikhonov
-    damping of the source coefficients (constants are never penalized)."""
+    damping of the source coefficients (constants are never penalized);
+    singular values below RCOND times the largest are truncated."""
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     smax = s[0] if s.size else 1.0
     lam = 1e-10 * smax * smax if tikhonov is None else float(tikhonov)
-    keep = s > rcond * smax
+    keep = s > RCOND * smax
     truncated = int(np.sum(~keep))
     if lam > 0:
         # damp only the directions acting on source coefficients: augment rows
@@ -229,7 +229,7 @@ def _svd_solve(A, b, tikhonov, n_src, rcond=1e-13):
         b_aug = np.concatenate([b, np.zeros(n_src)])
         U, s, Vt = np.linalg.svd(A_aug, full_matrices=False)
         smax = s[0] if s.size else 1.0
-        keep = s > rcond * smax
+        keep = s > RCOND * smax
         truncated = int(np.sum(~keep))
         coef = Vt[keep].T @ ((U[:, keep].T @ b_aug) / s[keep])
     else:
@@ -299,7 +299,6 @@ def solve_dirichlet(
         truncated_modes=truncated,
         n_collocation=A.shape[0],
         n_unknowns=A.shape[1],
-        flags=("truncated",) if truncated else (),
     )
     if diag.max_residual > residual_tol:
         raise SolverConvergenceError("solver did not converge", diag)
@@ -311,12 +310,12 @@ def solve_cauchy(
     c: float,
     tikhonov: float | None = None,
     n_src_per_ring: int = 128,
-    offset_ratio: float = 1.8,
     residual_tol: float = 1e-6,
     future_holes: tuple[Hole, ...] = (),
 ) -> tuple[FieldModel, SolveDiagnostics]:
     """Joint fit of u = 0 and u_nu = c on the outer curve (no holes yet);
-    the continued field is then valid in a neighborhood of the curve.
+    the continued field is then valid in a neighborhood of the curve.  The
+    source rings sit at offset 1.8.
 
     tikhonov=None selects the default weight 1e-10 * (largest singular value)^2;
     the misfit is inherently ill-posed, so failure to reach tolerance is
@@ -331,7 +330,7 @@ def solve_cauchy(
         raise InvalidDomainError("tikhonov weight must be >= 0")
     if n_src_per_ring < 32:
         raise InvalidDomainError("n_src_per_ring must be >= 32")
-    sources = _source_rings(spec, future_holes, n_src_per_ring, offset_ratio)
+    sources = _source_rings(spec, future_holes, n_src_per_ring, 1.8)
     n_src = sources.shape[0]
     n_col = max(64, 2 * n_src_per_ring)
     quads = build_boundary_quadrature(spec, n_col)
@@ -360,7 +359,6 @@ def solve_cauchy(
         truncated_modes=truncated,
         n_collocation=A.shape[0],
         n_unknowns=A.shape[1],
-        flags=("truncated",) if truncated else (),
     )
     if diag.max_residual > residual_tol:
         raise SolverConvergenceError("continuation failed", diag)
@@ -398,16 +396,6 @@ def overdetermined_instance(
     c: float = 0.5,
     hole_center: tuple[float, float] = (0.4, 0.0),
     hole_radius: float = 0.1,
-    monopole: float = 0.05,
-    threefold_per_eps: float = 2.0,
-    n_modes: int = 14,
-    n_out: int = 96,
-    n_in: int = 48,
-    offset_ratio: float = 1.8,
-    n_collocation: int = 384,
-    max_iters: int = 60,
-    tol: float = 5e-11,
-    verify_tol: float = 1e-8,
 ) -> OverdeterminedInstance:
     """Build a domain-with-hole and field satisfying u = 0 AND u_nu = c on the
     outer curve to near machine precision, with all singular content inside
@@ -416,8 +404,8 @@ def overdetermined_instance(
     A field that is smooth throughout the enclosed region and exactly
     overdetermined forces a disk (Serrin rigidity), so non-trivial instances
     must carry sources inside the excised hole.  With that content fixed
-    (a monopole, a dipole of solved strength, and a weak three-fold pattern,
-    all scaled by eps), the outer curve solving the overdetermined problem is
+    (a monopole of 0.05, a dipole of solved strength, and a three-fold
+    pattern of 2 * eps), the outer curve solving the overdetermined problem is
     a free boundary; it is found by the classical trial method: Dirichlet
     solve, then a diagonal Fourier-Newton update of the shape from the normal
     derivative misfit, with the translation-neutral k=1 mode steered by the
@@ -425,14 +413,18 @@ def overdetermined_instance(
     inside the final domain.
 
     Everything is solved in hole-centered coordinates and then re-expanded
-    about the origin so the hole lands at hole_center.
+    about the origin so the hole lands at hole_center.  The discretization is
+    fixed: 14 shape modes, 96 outer and 48 hole sources (ring offset 1.8),
+    384 collocation nodes, at most 60 trial steps to a Neumann misfit below
+    5e-11, and a 1e-8 check of both conditions on the final domain.
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
+    n_modes, n_out, n_in, n_collocation, tol = 14, 96, 48, 384, 5e-11
     phi = np.linspace(0.0, TWO_PI, n_in, endpoint=False)
-    rin = hole_radius / offset_ratio
+    rin = hole_radius / 1.8
     inner = rin * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    q_fixed = (monopole + (threefold_per_eps * eps) * np.cos(3 * phi)) / n_in
+    q_fixed = (0.05 + (2.0 * eps) * np.cos(3 * phi)) / n_in
     dipole_pattern = np.cos(phi) / n_in
 
     state = {"R": 2.0 * c, "mu": 0.0, "b": np.zeros(n_modes + 1)}
@@ -459,13 +451,13 @@ def overdetermined_instance(
         x, nrm = geo(th)
         tho = np.linspace(0.0, TWO_PI, n_out, endpoint=False)
         ro, _ = shape(tho)
-        out_src = offset_ratio * np.stack([ro * np.cos(tho), ro * np.sin(tho)], axis=-1)
+        out_src = 1.8 * np.stack([ro * np.cos(tho), ro * np.sin(tho)], axis=-1)
         q_in = q_fixed + mu * dipole_pattern
         A_u = np.empty((n_collocation, n_out + 1))
         A_u[:, :n_out] = _kernel_block(x, out_src)
         A_u[:, n_out] = 1.0
         b_u = -(np.sum(x * x, axis=1) / 4.0 + _kernel_block(x, inner) @ q_in)
-        coef, *_ = np.linalg.lstsq(A_u, b_u, rcond=1e-13)
+        coef, *_ = np.linalg.lstsq(A_u, b_u, rcond=RCOND)
         e_u = float(np.max(np.abs(A_u @ coef - b_u)))
         un = (
             _kernel_normal_block(x, nrm, out_src) @ coef[:n_out]
@@ -481,7 +473,7 @@ def overdetermined_instance(
     d_mode1_d_mu = probe / 1e-2
 
     e_u = e_n = math.inf
-    for it in range(max_iters):
+    for it in range(60):
         en, e_u, coef, out_src, q_in = dirichlet_pass(state["mu"])
         e_n = float(np.max(np.abs(en)))
         if e_n < tol:
@@ -549,7 +541,7 @@ def overdetermined_instance(
         np.max(np.abs(normal_derivative(model, check.gamma.nodes, check.gamma.normals) - c))
     )
     u_hole = evaluate_u(model, check.holes[0].nodes)
-    if max(res_u, res_n) > verify_tol or np.max(u_hole) > 0:
+    if max(res_u, res_n) > 1e-8 or np.max(u_hole) > 0:
         raise SolverConvergenceError(
             "overdetermined instance failed verification on the final domain",
             SolveDiagnostics(

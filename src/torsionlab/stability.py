@@ -71,12 +71,12 @@ def adjusted_center_tubular(spec: DomainSpec, model: FieldModel, r_i: float,
     return z, inside
 
 
-def pseudo_distance(gamma_quad: BoundaryQuadrature, z, c: float, n_dim: int = N_DIM) -> float:
+def pseudo_distance(gamma_quad: BoundaryQuadrature, z, c: float) -> float:
     """integral over the outer curve of (|x - z|/N - c)^2 dS: an L^2 distance
     of the curve from the sphere of radius N*c centered at z."""
     z = np.asarray(z, dtype=float)
     dist = np.hypot(gamma_quad.nodes[:, 0] - z[0], gamma_quad.nodes[:, 1] - z[1])
-    return float(np.sum((dist / n_dim - c) ** 2 * gamma_quad.weights))
+    return float(np.sum((dist / N_DIM - c) ** 2 * gamma_quad.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +97,16 @@ class PointwiseCheckReport:
         return self.violations == 0
 
 
-def check_growth(model: FieldModel, spec: DomainSpec, pts, r_i: float,
-                 tol: float = 1e-9) -> PointwiseCheckReport:
-    """-u >= delta^2/(2N) and -u >= (r_i/2N) * delta at the sample points."""
+def check_growth(model: FieldModel, spec: DomainSpec, pts, r_i: float) -> PointwiseCheckReport:
+    """-u >= delta^2/(2N) and -u >= (r_i/2N) * delta at the sample points, up
+    to a slack of 1e-9."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     u = evaluate_u(model, pts)
     delta = distance_to_boundary(spec, pts)
     slack_sq = -u - delta * delta / (2.0 * N_DIM)
     slack_lin = -u - (r_i / (2.0 * N_DIM)) * delta
     slack = np.minimum(slack_sq, slack_lin)
-    bad = slack < -tol
+    bad = slack < -1e-9
     witness = None
     if np.any(bad):
         i = int(np.argmin(slack))
@@ -120,12 +120,11 @@ def check_growth(model: FieldModel, spec: DomainSpec, pts, r_i: float,
     )
 
 
-def check_hopf(model: FieldModel, gamma_quad: BoundaryQuadrature, r_i: float,
-               tol: float = 1e-9) -> PointwiseCheckReport:
-    """u_nu >= r_i / N on the outer curve."""
+def check_hopf(model: FieldModel, gamma_quad: BoundaryQuadrature, r_i: float) -> PointwiseCheckReport:
+    """u_nu >= r_i / N on the outer curve, up to a slack of 1e-9."""
     u_nu = normal_derivative(model, gamma_quad.nodes, gamma_quad.normals)
     slack = u_nu - r_i / N_DIM
-    bad = slack < -tol
+    bad = slack < -1e-9
     witness = None
     if np.any(bad):
         i = int(np.argmin(slack))
@@ -184,8 +183,10 @@ class OscillationReport:
         return self.rhs - self.lhs
 
 
-def _disk_quadrature(center, radius, n_r=24, n_t=64):
-    xs, ws = np.polynomial.legendre.leggauss(n_r)
+def _disk_quadrature(center, radius):
+    """24 Gauss radii by 64 equispaced angles on the disk."""
+    n_t = 64
+    xs, ws = np.polynomial.legendre.leggauss(24)
     rho = 0.5 * radius * (xs + 1.0)
     wr = 0.5 * radius * ws * rho
     th = np.linspace(0.0, TWO_PI, n_t, endpoint=False)
@@ -202,27 +203,25 @@ def check_oscillation_bound(
     quads: Quadratures,
     r_i: float,
     p: float = 2.0,
-    gradient_inflation: float = 1.05,
     variant: str = "mean",
-    shift: float | None = None,
 ) -> OscillationReport:
     """Oscillation of a harmonic field on the outer curve against its L^p bulk
     deviation, with the explicit constants; applies only under the smallness
     condition.
 
     variant="mean" measures the deviation from the mean over the whole region;
-    variant="refined" measures ||v - shift||_p over the interior ball of
-    radius r_i tangent under the extremal boundary point (shift defaults to
-    the regional mean).  The gradient bound G is the sampled maximum of
-    |grad v| over the boundary layer, inflated slightly so it is a genuine
-    upper bound rather than a discrete undershoot.
+    variant="refined" measures ||v - mean||_p over the interior ball of
+    radius r_i tangent under the boundary point farthest from the regional
+    mean.  The gradient bound G is the sampled maximum of |grad v| over the
+    boundary layer, inflated by 5% so it is a genuine upper bound rather than
+    a discrete undershoot.
     """
     u_gamma, _ = _eval(v_model, quads.bounds.gamma.nodes, "u")
     lhs = float(np.max(u_gamma) - np.min(u_gamma))
     tube, inner = tubular_sets(spec, r_i, r_i)
     grad_pts = np.vstack([tube.nodes, quads.bounds.gamma.nodes, inner.nodes])
     _, gv = _eval(v_model, grad_pts, "g")
-    G = gradient_inflation * float(np.max(np.hypot(gv[:, 0], gv[:, 1])))
+    G = 1.05 * float(np.max(np.hypot(gv[:, 0], gv[:, 1])))
     a_const, alpha_const = oscillation_constants(N_DIM, p)
     v_area, _ = _eval(v_model, quads.area.nodes, "u")
     v_mean = float(np.sum(v_area * quads.area.weights) / quads.area.total)
@@ -233,14 +232,13 @@ def check_oscillation_bound(
         )
         r_eff = r_i
     elif variant == "refined":
-        lam = v_mean if shift is None else float(shift)
-        i_ext = int(np.argmax(np.abs(u_gamma - lam)))
+        i_ext = int(np.argmax(np.abs(u_gamma - v_mean)))
         x_bar = quads.bounds.gamma.nodes[i_ext]
         nu_bar = quads.bounds.gamma.normals[i_ext]
         x0 = x_bar - r_i * nu_bar
         nodes, weights = _disk_quadrature(x0, r_i)
         vals, _ = _eval(v_model, nodes, "u")
-        norm = float(np.sum(np.abs(vals - lam) ** p * weights) ** (1.0 / p))
+        norm = float(np.sum(np.abs(vals - v_mean) ** p * weights) ** (1.0 / p))
         r_eff = r_i
     else:
         raise ValueError(f"unknown oscillation variant {variant!r}")
@@ -297,9 +295,11 @@ class HarmonicField:
         return self.fields(pts, "g")[1]
 
 
-def random_harmonic_fields(spec: DomainSpec, n_fields: int, rng, n_src: int = 12):
-    """Random fields harmonic on the region: log sources outside the outer
-    curve and inside holes, with standard-normal coefficients."""
+def random_harmonic_fields(spec: DomainSpec, n_fields: int, rng):
+    """Random fields harmonic on the region: 12 log sources outside the outer
+    curve and 4 inside one hole, with standard-normal coefficients (halved
+    inside the hole)."""
+    n_src = 12
     fields = []
     for _ in range(n_fields):
         th = rng.uniform(0.0, TWO_PI, n_src)
@@ -329,7 +329,7 @@ class ExponentTripleError(ValueError):
     pass
 
 
-def validate_poincare_triple(r: float, p: float, alpha: float, n_dim: int = N_DIM) -> str:
+def validate_poincare_triple(r: float, p: float, alpha: float) -> str:
     """Returns which admissibility case the exponent triple satisfies:
     'weighted' for 1 <= p <= r <= Np/(N - p(1-alpha)), p(1-alpha) < N,
     0 <= alpha <= 1; or 'unweighted' for r = p >= 1, alpha = 0."""
@@ -337,13 +337,13 @@ def validate_poincare_triple(r: float, p: float, alpha: float, n_dim: int = N_DI
         return "unweighted"
     if not 0.0 <= alpha <= 1.0:
         raise ExponentTripleError(f"need 0 <= alpha <= 1, got alpha={alpha}")
-    if not p * (1.0 - alpha) < n_dim:
+    if not p * (1.0 - alpha) < N_DIM:
         raise ExponentTripleError(
-            f"need p(1-alpha) < N: p(1-alpha)={p * (1.0 - alpha)} >= N={n_dim}"
+            f"need p(1-alpha) < N: p(1-alpha)={p * (1.0 - alpha)} >= N={N_DIM}"
         )
     if not 1.0 <= p <= r:
         raise ExponentTripleError(f"need 1 <= p <= r, got p={p}, r={r}")
-    r_max = n_dim * p / (n_dim - p * (1.0 - alpha))
+    r_max = N_DIM * p / (N_DIM - p * (1.0 - alpha))
     if not r <= r_max + 1e-12:
         raise ExponentTripleError(
             f"need r <= Np/(N - p(1-alpha)) = {r_max:.6g}, got r={r}"
@@ -353,15 +353,15 @@ def validate_poincare_triple(r: float, p: float, alpha: float, n_dim: int = N_DI
 
 def poincare_normalized_bound(
     case: str, r: float, p: float, alpha: float, d_omega: float, r_i: float,
-    region_area: float, n_dim: int = N_DIM,
+    region_area: float,
 ) -> float:
     """The closed-form bound on the inverse Poincare constant with the unknown
     universal prefactor set to 1 ('normalized')."""
     if case == "weighted":
-        return (d_omega / r_i) ** n_dim * region_area ** (
-            (1.0 - alpha) / n_dim + 1.0 / r + 1.0 / p
+        return (d_omega / r_i) ** N_DIM * region_area ** (
+            (1.0 - alpha) / N_DIM + 1.0 / r + 1.0 / p
         )
-    ex = 3.0 * n_dim * (1.0 + n_dim / p)
+    ex = 3.0 * N_DIM * (1.0 + N_DIM / p)
     return d_omega ** (ex + 1.0) / r_i**ex
 
 
@@ -490,13 +490,12 @@ def bound_table(
     K: float,
     r_i: float,
     d_omega: float,
-    p_list=(1.0, 2.0, 4.0),
 ) -> BoundTable:
     """Closed-form constants and the bracket for the flux constant c:
     lower bound r_i/N always; upper bound d/(2N) + K/(N |B_1| r_i^{N-1})
     under the side condition that the hole perimeter is below 1."""
     entries = {}
-    for p in p_list:
+    for p in (1.0, 2.0, 4.0):
         a, al = oscillation_constants(N_DIM, p)
         entries[f"oscillation_a_{p:g}"] = a
         entries[f"oscillation_alpha_{p:g}"] = al
@@ -658,7 +657,6 @@ def stability_report(
     regime: str = "sphere-condition",
     theta: float = 0.01,
     tol_overdet: float = 1e-6,
-    eta_kind: str = "perimeter",
     waive_overdetermination: bool = False,
     z_override=None,
     r_i: float | None = None,
@@ -714,14 +712,13 @@ def stability_report(
 
     K = hole_c2_norm(model, quads)
     M = gradient_max_on_tube(model, spec, r_i)
-    perim = spec.holes_perimeter
+    perim = spec.holes_perimeter  # the smallness driver eta
     dbar = max((2.0 * h.radius for h in spec.holes), default=0.0)
-    eta = perim if eta_kind == "perimeter" else dbar
-    psi = psi_c2(K, eta)
+    psi = psi_c2(K, perim)
     tau = radii_gap_exponent(N_DIM, "john-relaxed" if regime == "john-relaxed" else "sphere-condition", theta)
 
     ratios = {}
-    if z_inside and eta > 0:
+    if z_inside and perim > 0:
         ratios["pseudo_distance_over_perimeter"] = d2 / perim
         ratios["asymmetry_over_sqrt_perimeter"] = asym / math.sqrt(perim)
         ratios["radius_gap_over_perimeter_pow"] = (rho_e - rho_i) / perim ** (tau / 2.0)
@@ -752,7 +749,7 @@ def stability_report(
         hole_c2_norm=K,
         holes_perimeter=perim,
         holes_diameter_sup=dbar,
-        eta=eta,
+        eta=perim,
         psi_eta=psi,
         tau_exponent=tau,
         hypotheses=hypotheses,
@@ -788,13 +785,11 @@ def fit_constants(reports) -> tuple[dict, tuple]:
     return fitted, tuple(excluded)
 
 
-def theorem_suite(instances, regime: str = "sphere-condition", **kwargs) -> SuiteResult:
+def theorem_suite(instances) -> SuiteResult:
     """Run the stability report over (label, spec, model, quads) instances and
     fit the per-inequality constants across the sweep."""
     reports = []
     for label, spec, model, quads in instances:
-        reports.append(
-            stability_report(spec, model, quads, label=label, regime=regime, **kwargs)
-        )
+        reports.append(stability_report(spec, model, quads, label=label))
     fitted, excluded = fit_constants(reports)
     return SuiteResult(reports=tuple(reports), fitted_constants=fitted, excluded=excluded)

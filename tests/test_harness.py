@@ -103,10 +103,24 @@ def test_validate_rejects_unknown_key():
     assert err.value.path == "domain"
 
 
-def test_unknown_key_exits_two(tmp_path, capsys):
-    cfg = write(tmp_path, "typo.cfg", RADIAL_IDENTITIES + "quadrature.ntheta = 128\n")
+# a typo, and the keys of solver and flow settings that are fixed constants
+@pytest.mark.parametrize(
+    "line",
+    [
+        "quadrature.ntheta = 128",
+        "solver.n_src_per_ring = 96",
+        "solver.offset_ratio = 1.8",
+        "solver.tikhonov = 0.0",
+        "flow.max_iters = 200",
+        "flow.flatness_tol = 1e-3",
+    ],
+    ids=lambda line: line.split(" ")[0],
+)
+def test_unknown_key_exits_two(tmp_path, capsys, line):
+    key = line.split(" ")[0]
+    cfg = write(tmp_path, "typo.cfg", RADIAL_IDENTITIES + line + "\n")
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "quadrature.ntheta" in capsys.readouterr().err
+    assert f"'{key}': unknown key" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -192,13 +206,27 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         (SWEEP_EPS.replace('field.kind = "overdetermined"\n', ""), "field.kind"),
         (SWEEP_EPS.replace("0.1, 0.0]]", "0.1, 0.0], [-0.4, 0.0, 0.1, 0.0]]"), "domain.holes"),
         (SWEEP_EPS.replace("domain.holes = [[0.4, 0.0, 0.1, 0.0]]\n", ""), "domain.holes"),
+        (SWEEP_EPS + "domain.modes = [[3, 0.05]]\n", "domain.modes"),
     ],
-    ids=["unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes", "eps-no-hole"],
+    ids=[
+        "unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes",
+        "eps-no-hole", "overdetermined-with-modes",
+    ],
 )
 def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):
     cfg = write(tmp_path, "sweep.cfg", text)
     assert main(["validate", cfg]) == 2
     assert f"'{path}'" in capsys.readouterr().err
+
+
+def test_run_overdetermined_rejects_modes(tmp_path, capsys):
+    # the free-boundary builder makes its own outer curve; configured modes
+    # used to be ignored
+    text = SWEEP_EPS.replace('"cauchy-stability"', '"stability"') + "domain.modes = [[3, 0.05]]\n"
+    cfg = write(tmp_path, "modes.cfg", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "'domain.modes'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file():
