@@ -41,6 +41,21 @@ def _gauss_legendre(n: int):
     return x, w
 
 
+def _cosine_series(theta, a0, modes):
+    """(r, r', r'') of r(theta) = a0 + sum a cos(k theta) over modes (k, a),
+    summed in mode order with one cos(k theta) and one sin(k theta) per mode."""
+    theta = np.asarray(theta, dtype=float)
+    r = np.full_like(theta, a0)
+    d1 = np.zeros_like(theta)
+    d2 = np.zeros_like(theta)
+    for k, a in modes:
+        c, s = np.cos(k * theta), np.sin(k * theta)
+        r = r + a * c
+        d1 = d1 - a * k * s
+        d2 = d2 - a * k * k * c
+    return r, d1, d2
+
+
 @dataclass(frozen=True)
 class Hole:
     """A circular excision with a Dirichlet datum g <= 0 for solver scenarios."""
@@ -134,19 +149,10 @@ class DomainSpec:
             r = r + e * np.cos(k * theta)
         return self.outer_radius * r
 
-    def radius_d1(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        d = np.zeros_like(theta)
-        for k, e in self.fourier_modes:
-            d = d - e * k * np.sin(k * theta)
-        return self.outer_radius * d
-
-    def radius_d2(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        d = np.zeros_like(theta)
-        for k, e in self.fourier_modes:
-            d = d - e * k * k * np.cos(k * theta)
-        return self.outer_radius * d
+    def radii(self, theta):
+        """(r, r', r'') of the outer curve from one pass over the modes."""
+        r, d1, d2 = _cosine_series(theta, 1.0, self.fourier_modes)
+        return self.outer_radius * r, self.outer_radius * d1, self.outer_radius * d2
 
     def boundary_point(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -154,15 +160,13 @@ class DomainSpec:
         return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
     def boundary_speed(self, theta):
-        r = self.radius(theta)
-        rp = self.radius_d1(theta)
+        r, rp, _ = self.radii(theta)
         return np.sqrt(r * r + rp * rp)
 
     def boundary_normal(self, theta):
         """Unit outward normal of the outer curve (counterclockwise param)."""
         theta = np.asarray(theta, dtype=float)
-        r = self.radius(theta)
-        rp = self.radius_d1(theta)
+        r, rp, _ = self.radii(theta)
         # tangent = r' e_r + r e_theta; rotate by -90 degrees for outward normal
         cos, sin = np.cos(theta), np.sin(theta)
         tx = rp * cos - r * sin
@@ -172,9 +176,7 @@ class DomainSpec:
 
     def boundary_curvature(self, theta):
         """Signed curvature, positive where the outer curve is convex."""
-        r = self.radius(theta)
-        rp = self.radius_d1(theta)
-        rpp = self.radius_d2(theta)
+        r, rp, rpp = self.radii(theta)
         return (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
 
     def max_curvature(self) -> float:
@@ -227,8 +229,7 @@ class DomainSpec:
         """Distance from interior-ish points to the outer curve.
 
         Each point starts from its nearest of 720 equispaced curve samples
-        and is Newton-polished on the foot-point angle until its own step
-        falls below 1e-15 (at most 40 steps).
+        and is projected onto the curve by ``_project``.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n_seed = 720
@@ -244,20 +245,25 @@ class DomainSpec:
                 pts[lo:hi, 1, None] - bp[None, :, 1]
             ) ** 2
             theta[lo:hi] = seeds[np.argmin(d2, axis=1)]
-        active = np.arange(n)  # points still taking Newton steps
+        return np.hypot(*(pts - self.boundary_point(self._project(pts, theta))).T)
+
+    def _project(self, pts, theta):
+        """Foot-point angles on the outer curve: Newton steps on the
+        stationarity of |x(theta) - p|^2 from the starting angles theta (a
+        nearest or farthest sample), each clipped to 0.5; every point stops on
+        its own |step| < 1e-15, after at most 40 steps."""
+        theta = np.array(theta, dtype=float)
+        active = np.arange(theta.size)  # points still taking Newton steps
         for _ in range(40):
             th, p = theta[active], pts[active]
-            xp = self.boundary_point(th)
-            r = self.radius(th)
-            rp = self.radius_d1(th)
-            rpp = self.radius_d2(th)
+            r, rp, rpp = self.radii(th)
             cos, sin = np.cos(th), np.sin(th)
             t1 = np.stack([rp * cos - r * sin, rp * sin + r * cos], axis=-1)
             t2 = np.stack(
                 [(rpp - r) * cos - 2 * rp * sin, (rpp - r) * sin + 2 * rp * cos],
                 axis=-1,
             )
-            diff = p - xp
+            diff = p - np.stack([r * cos, r * sin], axis=-1)
             g = -np.sum(diff * t1, axis=-1)
             h = np.sum(t1 * t1, axis=-1) - np.sum(diff * t2, axis=-1)
             h = np.where(np.abs(h) < 1e-14, 1e-14, h)
@@ -266,7 +272,7 @@ class DomainSpec:
             active = active[np.abs(step) >= 1e-15]
             if active.size == 0:
                 break
-        return np.hypot(*(pts - self.boundary_point(theta)).T)
+        return theta
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +360,7 @@ def build_boundary_quadrature(spec: DomainSpec, n_theta: int) -> BoundaryQuadrat
             BoundaryQuadrature(
                 component=f"hole_{j}",
                 theta=th,
-                nodes=np.asarray(hole.center) + hole.radius * unit,
+                nodes=hole.boundary_points(th),
                 normals=-unit,  # out of the region = into the hole
                 weights=np.full(n_hole, TWO_PI * hole.radius / n_hole),
                 curvature=np.full(n_hole, -1.0 / hole.radius),
@@ -446,8 +452,7 @@ def build_area_quadrature(spec: DomainSpec, n_r: int, n_theta: int) -> AreaQuadr
         _tangency_breakpoints(spec), n_theta
     )
     nodes, weights = [], []
-    for th, wt in zip(theta_nodes, theta_weights):
-        r_out = float(spec.radius(th))
+    for th, wt, r_out in zip(theta_nodes, theta_weights, spec.radius(theta_nodes).tolist()):
         intervals = [(0.0, r_out)]
         for hole in spec.holes:
             chord = _hole_chord(hole, th)
@@ -533,7 +538,7 @@ def interior_sphere_radius(spec: DomainSpec, d_omega: float | None = None) -> fl
         d_omega = diameter(spec)
     hole_cap = 2.0 * d_omega if spec.holes else 0.0
     for hole in spec.holes:
-        probes.append(np.asarray(hole.center) + hole.radius * unit)
+        probes.append(hole.boundary_points(th))
         normals.append(-unit)
         caps.append(np.full(nh, hole_cap))
     probes = np.concatenate(probes)
@@ -597,38 +602,13 @@ def enclosing_inscribed_radii(spec: DomainSpec, z) -> tuple[float, float]:
         raise ExteriorPointError(
             f"center {tuple(z)} is outside the domain; enclosing/inscribed radii undefined"
         )
-    n = 2048
-    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-
-    def polish(th0):
-        th = th0
-        for _ in range(60):
-            x = spec.boundary_point(th)
-            r = spec.radius(th)
-            rp = spec.radius_d1(th)
-            rpp = spec.radius_d2(th)
-            cos, sin = math.cos(th), math.sin(th)
-            t1 = np.array([rp * cos - r * sin, rp * sin + r * cos])
-            t2 = np.array(
-                [(rpp - r) * cos - 2 * rp * sin, (rpp - r) * sin + 2 * rp * cos]
-            )
-            diff = x - z
-            g = float(np.dot(diff, t1))
-            h = float(np.dot(t1, t1) + np.dot(diff, t2))
-            if abs(h) < 1e-14:
-                break
-            step = max(-0.3, min(0.3, g / h))
-            th -= step
-            if abs(step) < 1e-15:
-                break
-        return float(np.hypot(*(spec.boundary_point(th) - z)))
-
+    theta = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
     dist = np.hypot(*(spec.boundary_point(theta) - z).T)
-    rho_e = polish(float(theta[np.argmax(dist)]))
-    rho_i = polish(float(theta[np.argmin(dist)]))
-    rho_e = max(rho_e, float(np.max(dist)))
-    rho_i = min(rho_i, float(np.min(dist)))
-    return rho_e, rho_i
+    # polish the farthest and the nearest sample as foot points of z
+    seeds = theta[[np.argmax(dist), np.argmin(dist)]]
+    feet = spec.boundary_point(spec._project(np.stack([z, z]), seeds))
+    rho_e, rho_i = np.hypot(*(feet - z).T)
+    return max(float(rho_e), float(np.max(dist))), min(float(rho_i), float(np.min(dist)))
 
 
 # ---------------------------------------------------------------------------

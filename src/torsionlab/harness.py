@@ -218,7 +218,9 @@ def validate_config(tree: dict) -> ScenarioConfig:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {exp!r}")
     cfg = ScenarioConfig(experiment=exp, raw=tree)
     cfg.seed = _number(tree, "seed", 0, int)
-    cfg.out_dir = str(_get(tree, "out_dir", "run_output"))
+    cfg.out_dir = _get(tree, "out_dir", "run_output")
+    if not isinstance(cfg.out_dir, str):
+        raise ConfigError("out_dir", f"expected a path string, got {cfg.out_dir!r}")
     cfg.threads = _number(tree, "threads", 1, int)
     if cfg.threads < 1:
         raise ConfigError("threads", f"must be >= 1, got {cfg.threads}")
@@ -244,13 +246,24 @@ def validate_config(tree: dict) -> ScenarioConfig:
             "domain.modes",
             "overdetermined instances build their own outer curve; leave domain.modes unset",
         )
+    if cfg.field_kind == "overdetermined" and _get(tree, "domain.outer_radius") is not None:
+        raise ConfigError(
+            "domain.outer_radius",
+            "overdetermined instances build their own outer curve; leave domain.outer_radius unset",
+        )
     cfg.n_theta = _number(tree, "quadrature.n_theta", 256, int)
     cfg.n_r = _number(tree, "quadrature.n_r", 48, int)
     if cfg.n_theta < 64 or cfg.n_theta % 2:
         raise ConfigError("quadrature.n_theta", "must be even and >= 64")
+    if cfg.n_r < 4:
+        raise ConfigError("quadrature.n_r", f"must be >= 4, got {cfg.n_r}")
     cfg.identity_rel_tol = _number(tree, "tolerances.identity_rel", 1e-4)
     cfg.overdet_tol = _number(tree, "tolerances.overdet", 1e-6)
     cfg.growth_samples = _number(tree, "tolerances.growth_samples", 10000, int)
+    if cfg.growth_samples < 1:
+        raise ConfigError(
+            "tolerances.growth_samples", f"must be >= 1, got {cfg.growth_samples}"
+        )
     cfg.sweep_axis = _get(tree, "sweep.axis", None)
     values = _get(tree, "sweep.values", [])
     if not isinstance(values, list):

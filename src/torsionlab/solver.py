@@ -23,6 +23,7 @@ from .geometry import (
     DomainSpec,
     Hole,
     InvalidDomainError,
+    _cosine_series,
     build_boundary_quadrature,
 )
 
@@ -218,22 +219,17 @@ def _svd_solve(A, b, tikhonov, n_src):
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     smax = s[0] if s.size else 1.0
     lam = 1e-10 * smax * smax if tikhonov is None else float(tikhonov)
-    keep = s > RCOND * smax
-    truncated = int(np.sum(~keep))
     if lam > 0:
         # damp only the directions acting on source coefficients: augment rows
-        m = A.shape[1]
-        W = np.zeros((n_src, m))
+        W = np.zeros((n_src, A.shape[1]))
         W[:, :n_src] = math.sqrt(lam) * np.eye(n_src)
-        A_aug = np.vstack([A, W])
-        b_aug = np.concatenate([b, np.zeros(n_src)])
-        U, s, Vt = np.linalg.svd(A_aug, full_matrices=False)
+        A = np.vstack([A, W])
+        b = np.concatenate([b, np.zeros(n_src)])
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
         smax = s[0] if s.size else 1.0
-        keep = s > RCOND * smax
-        truncated = int(np.sum(~keep))
-        coef = Vt[keep].T @ ((U[:, keep].T @ b_aug) / s[keep])
-    else:
-        coef = Vt[keep].T @ ((U[:, keep].T @ b) / s[keep])
+    keep = s > RCOND * smax
+    truncated = int(np.sum(~keep))
+    coef = Vt[keep].T @ ((U[:, keep].T @ b) / s[keep])
     cond = float(smax / s[keep][-1]) if np.any(keep) else math.inf
     return coef, cond, truncated, lam
 
@@ -432,11 +428,8 @@ def overdetermined_instance(
     th = np.linspace(0.0, TWO_PI, n_collocation, endpoint=False)
 
     def shape(theta):
-        r = state["R"] + t * np.cos(theta)
-        rp = -t * np.sin(theta)
-        for k in range(2, n_modes + 1):
-            r = r + state["b"][k] * np.cos(k * theta)
-            rp = rp - state["b"][k] * k * np.sin(k * theta)
+        modes = [(1, t)] + [(k, state["b"][k]) for k in range(2, n_modes + 1)]
+        r, rp, _ = _cosine_series(theta, state["R"], modes)
         return r, rp
 
     def geo(theta):

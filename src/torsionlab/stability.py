@@ -261,11 +261,8 @@ def check_oscillation_bound(
 
 
 def _eval(v_model, pts, want):
-    """(u, grad) of a FieldModel, a HarmonicField, or any object with .u and
-    .grad methods; parts not in want ("u", "g" or "ug") are None."""
-    if isinstance(v_model, FieldModel):
-        u, grad, _ = evaluate(v_model, pts, want)
-        return u, grad
+    """(u, grad) of a HarmonicField, or of any object with .u and .grad
+    methods; parts not in want ("u", "g" or "ug") are None."""
     if isinstance(v_model, HarmonicField):
         return v_model.fields(pts, want)
     u = v_model.u(pts) if "u" in want else None

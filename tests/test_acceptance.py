@@ -346,7 +346,6 @@ def test_criterion_11_sweep_determinism(tmp_path):
             [
                 'experiment = "cauchy-stability"',
                 "seed = 11",
-                "domain.outer_radius = 1.0",
                 "domain.holes = [[0.4, 0.0, 0.1, 0.0]]",
                 'field.kind = "overdetermined"',
                 'sweep.axis = "eps"',

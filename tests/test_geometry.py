@@ -286,6 +286,29 @@ def test_diameter_equals_full_pairwise_max(modes):
     assert diameter(spec) == _full_square_diameter(spec)
 
 
+def test_curve_radii_series_matches_radius():
+    # r from the one-pass series is radius() bit for bit; r' and r'' agree
+    # with central differences of radius()
+    spec = DomainSpec(1.3, ((2, 0.04), (3, 0.02), (5, 0.01)))
+    theta = np.linspace(0.0, TWO_PI, 997)
+    r, rp, rpp = spec.radii(theta)
+    assert np.array_equal(r, spec.radius(theta))
+    h = 1e-4
+    up, down = spec.radius(theta + h), spec.radius(theta - h)
+    assert np.max(np.abs(rp - (up - down) / (2.0 * h))) <= 1e-6
+    assert np.max(np.abs(rpp - (up - 2.0 * r + down) / (h * h))) <= 1e-6
+
+
+def test_radii_offcenter_match_dense_sampling():
+    spec = DomainSpec(1.0, ((2, 0.08), (3, 0.02)))
+    bp = spec.boundary_point(np.linspace(0.0, TWO_PI, 1_000_000, endpoint=False))
+    for z in [(0.2, 0.1), (-0.3, 0.25)]:
+        dist = np.hypot(bp[:, 0] - z[0], bp[:, 1] - z[1])
+        rho_e, rho_i = enclosing_inscribed_radii(spec, z)
+        assert abs(rho_e - float(np.max(dist))) <= 1e-10
+        assert abs(rho_i - float(np.min(dist))) <= 1e-10
+
+
 def test_radii_about_center(ball):
     rho_e, rho_i = enclosing_inscribed_radii(ball, (0.0, 0.0))
     assert abs(rho_e - 1.0) <= 1e-10 and abs(rho_i - 1.0) <= 1e-10

@@ -34,7 +34,6 @@ tolerances.identity_rel = 1e-8
 SWEEP_EPS = """
 experiment = "cauchy-stability"
 seed = 3
-domain.outer_radius = 1.0
 domain.holes = [[0.4, 0.0, 0.1, 0.0]]
 field.kind = "overdetermined"
 sweep.axis = "eps"
@@ -125,7 +124,7 @@ def test_unknown_key_exits_two(tmp_path, capsys, line):
 
 
 def test_cauchy_eps_is_a_known_key():
-    text = RADIAL_IDENTITIES.replace('"radial"', '"overdetermined"') + "cauchy.eps = 0.02\n"
+    text = SWEEP_EPS.replace('"cauchy-stability"', '"stability"') + "cauchy.eps = 0.02\n"
     tree = parse_config_text(text)
     assert validate_config(tree).cauchy_eps == 0.02
 
@@ -150,14 +149,20 @@ def test_threads_below_one_rejected(tmp_path, capsys):
         ('domain.holes = [[0.0, 0.0, "r", -0.24]]', "domain.holes[0]"),
         ("domain.modes = [[3]]", "domain.modes"),
         ("poincare.triples = [[2, 2]]", "poincare.triples"),
+        ("tolerances.growth_samples = 0", "tolerances.growth_samples"),
+        ("tolerances.growth_samples = -3", "tolerances.growth_samples"),
+        ("quadrature.n_r = 3", "quadrature.n_r"),
+        ('out_dir = ["a", "b"]', "out_dir"),
     ],
 )
 def test_bad_value_type_exits_two(tmp_path, capsys, line, path):
-    # a value of the wrong type used to escape as a ValueError traceback
+    # a value of the wrong type or out of range used to escape as a numpy
+    # ValueError traceback (or, for out_dir, name a directory after the list)
     with pytest.raises(ConfigError) as err:
         validate_config(parse_config_text(RADIAL_IDENTITIES + line + "\n"))
     assert err.value.path == path
     cfg = write(tmp_path, "bad.cfg", RADIAL_IDENTITIES + line + "\n")
+    assert main(["validate", cfg]) == 2
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"'{path}'" in capsys.readouterr().err
 
@@ -207,10 +212,11 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         (SWEEP_EPS.replace("0.1, 0.0]]", "0.1, 0.0], [-0.4, 0.0, 0.1, 0.0]]"), "domain.holes"),
         (SWEEP_EPS.replace("domain.holes = [[0.4, 0.0, 0.1, 0.0]]\n", ""), "domain.holes"),
         (SWEEP_EPS + "domain.modes = [[3, 0.05]]\n", "domain.modes"),
+        (SWEEP_EPS + "domain.outer_radius = 1.0\n", "domain.outer_radius"),
     ],
     ids=[
         "unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes",
-        "eps-no-hole", "overdetermined-with-modes",
+        "eps-no-hole", "overdetermined-with-modes", "overdetermined-with-outer-radius",
     ],
 )
 def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):
@@ -221,12 +227,14 @@ def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):
 
 def test_run_overdetermined_rejects_modes(tmp_path, capsys):
     # the free-boundary builder makes its own outer curve; configured modes
-    # used to be ignored
-    text = SWEEP_EPS.replace('"cauchy-stability"', '"stability"') + "domain.modes = [[3, 0.05]]\n"
-    cfg = write(tmp_path, "modes.cfg", text)
-    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "'domain.modes'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # and outer radii used to be ignored
+    for line in ("domain.modes = [[3, 0.05]]", "domain.outer_radius = 1.3"):
+        key = line.split(" ")[0]
+        text = SWEEP_EPS.replace('"cauchy-stability"', '"stability"') + line + "\n"
+        cfg = write(tmp_path, "curve.cfg", text)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file():
