@@ -251,7 +251,9 @@ class DomainSpec:
         """Foot-point angles on the outer curve: Newton steps on the
         stationarity of |x(theta) - p|^2 from the starting angles theta (a
         nearest or farthest sample), each clipped to 0.5; every point stops on
-        its own |step| < 1e-15, after at most 40 steps."""
+        its own |step| < 1e-15, after at most 40 steps, and at once where the
+        Newton denominator |h| < 1e-14 (p at a centre of curvature, where every
+        angle is a foot point)."""
         theta = np.array(theta, dtype=float)
         active = np.arange(theta.size)  # points still taking Newton steps
         for _ in range(40):
@@ -266,8 +268,9 @@ class DomainSpec:
             diff = p - np.stack([r * cos, r * sin], axis=-1)
             g = -np.sum(diff * t1, axis=-1)
             h = np.sum(t1 * t1, axis=-1) - np.sum(diff * t2, axis=-1)
-            h = np.where(np.abs(h) < 1e-14, 1e-14, h)
-            step = np.clip(g / h, -0.5, 0.5)
+            moving = np.abs(h) >= 1e-14
+            step = np.zeros_like(g)
+            step[moving] = np.clip(g[moving] / h[moving], -0.5, 0.5)
             theta[active] = th - step
             active = active[np.abs(step) >= 1e-15]
             if active.size == 0:

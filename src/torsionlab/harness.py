@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__, _blas, _kernels
 from .geometry import (
     DomainSpec,
     Hole,
@@ -218,6 +218,8 @@ def validate_config(tree: dict) -> ScenarioConfig:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {exp!r}")
     cfg = ScenarioConfig(experiment=exp, raw=tree)
     cfg.seed = _number(tree, "seed", 0, int)
+    if cfg.seed < 0:
+        raise ConfigError("seed", f"must be >= 0, got {cfg.seed}")
     cfg.out_dir = _get(tree, "out_dir", "run_output")
     if not isinstance(cfg.out_dir, str):
         raise ConfigError("out_dir", f"expected a path string, got {cfg.out_dir!r}")
@@ -855,7 +857,8 @@ def write_tables(out_dir: Path, tables: dict) -> dict:
 
 def execute(cfg: ScenarioConfig):
     t0 = time.perf_counter()
-    payload, tables, assertions = RUNNERS[cfg.experiment](cfg)
+    with _blas.one_thread() as blas_threads:
+        payload, tables, assertions = RUNNERS[cfg.experiment](cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     schema = write_tables(out, tables)
@@ -871,6 +874,7 @@ def execute(cfg: ScenarioConfig):
             "numpy": np.__version__,
             "platform": platform.platform(),
             "kernel_backend": _kernels.BACKEND,
+            "blas_threads": blas_threads,
         },
         "wall_time_s": time.perf_counter() - t0,
         "assertions": [
@@ -896,6 +900,8 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
             raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         cfg.threads = args.threads
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
         cfg.seed = args.seed
     return cfg
 

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from torsionlab import _blas  # noqa: E402
 from torsionlab.geometry import DomainSpec, Hole, build_quadratures  # noqa: E402
 from torsionlab.solver import radial_reference  # noqa: E402
 
@@ -39,3 +40,18 @@ def ball_quads(ball):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def blas_threads_at_start():
+    control = _blas.thread_control()
+    return control[0]() if control else None
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_unchanged(blas_threads_at_start):
+    """Fail a test that leaves numpy's BLAS thread count changed."""
+    yield
+    control = _blas.thread_control()
+    if control is not None:
+        assert control[0]() == blas_threads_at_start, "numpy's BLAS thread count was not restored"

@@ -309,9 +309,19 @@ def test_radii_offcenter_match_dense_sampling():
         assert abs(rho_i - float(np.min(dist))) <= 1e-10
 
 
-def test_radii_about_center(ball):
-    rho_e, rho_i = enclosing_inscribed_radii(ball, (0.0, 0.0))
-    assert abs(rho_e - 1.0) <= 1e-10 and abs(rho_i - 1.0) <= 1e-10
+def test_radii_about_center(ball, monkeypatch):
+    # within roundoff of a circle's centre (a computed barycentre) every angle
+    # is a foot point: the projection stops on its first pass instead of
+    # taking 40 clipped steps
+    passes = []
+    radii = DomainSpec.radii
+    monkeypatch.setattr(DomainSpec, "radii", lambda s, th: passes.append(1) or radii(s, th))
+    for spec in (ball, DomainSpec(1.3)):
+        passes.clear()
+        rho_e, rho_i = enclosing_inscribed_radii(spec, (1e-16, 1e-16))
+        R = spec.outer_radius
+        assert abs(rho_e - R) <= 4e-16 * R and abs(rho_i - R) <= 4e-16 * R
+        assert len(passes) <= 2
 
 
 def test_radii_offset_center(ball):

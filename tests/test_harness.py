@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from torsionlab import _blas, harness
 from torsionlab.harness import (
     ConfigError,
     load_config,
@@ -137,6 +138,15 @@ def test_threads_below_one_rejected(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_negative_seed_override_rejected(tmp_path, capsys):
+    # np.random.default_rng used to raise a ValueError traceback at run time
+    cfg = write(tmp_path, "sweep.cfg", SWEEP_EPS)
+    for command in ("validate", "run", "sweep"):
+        assert main([command, cfg, "--out", str(tmp_path / "out"), "--seed", "-2"]) == 2
+        assert "'--seed'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "line, path",
     [
@@ -153,6 +163,7 @@ def test_threads_below_one_rejected(tmp_path, capsys):
         ("tolerances.growth_samples = -3", "tolerances.growth_samples"),
         ("quadrature.n_r = 3", "quadrature.n_r"),
         ('out_dir = ["a", "b"]', "out_dir"),
+        ("seed = -1", "seed"),
     ],
 )
 def test_bad_value_type_exits_two(tmp_path, capsys, line, path):
@@ -341,6 +352,35 @@ def test_run_report_serializes_field_model(tmp_path):
         assert abs(evaluate_u(clone, pt) - evaluate_u(oracle, pt)) <= 1e-12
 
 
+def test_run_pins_blas_to_one_thread(tmp_path, monkeypatch):
+    # during a run numpy's BLAS works on one thread, and the count is restored
+    # afterwards, also when the runner raises
+    control = _blas.thread_control()
+    count = control[0] if control else (lambda: None)
+    seen = []
+
+    def runner(cfg):
+        seen.append(count())
+        return {}, {}, []
+
+    def failing(cfg):
+        seen.append(count())
+        raise RuntimeError("runner failed")
+
+    before = count()
+    cfg = write(tmp_path, "radial.cfg", RADIAL_IDENTITIES)
+    monkeypatch.setitem(harness.RUNNERS, "identities", runner)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert seen == [report["environment"]["blas_threads"]] == [1 if control else None]
+    assert count() == before
+    monkeypatch.setitem(harness.RUNNERS, "identities", failing)
+    with pytest.raises(RuntimeError, match="runner failed"):
+        main(["run", cfg, "--out", str(tmp_path / "failed")])
+    assert seen[1] == seen[0]
+    assert count() == before
+
+
 def test_validate_command(tmp_path):
     cfg = write(tmp_path, "radial.cfg", RADIAL_IDENTITIES)
     assert main(["validate", cfg]) == 0
@@ -443,9 +483,10 @@ def test_sweep_worker_pool_preserves_determinism(tmp_path):
     cfg = write(tmp_path, "sweep.cfg", SWEEP_EPS)
     assert main(["sweep", cfg, "--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
     assert main(["sweep", cfg, "--out", str(tmp_path / "t3"), "--threads", "3"]) == 0
-    a = (tmp_path / "t1" / "tables" / "instances.csv").read_bytes()
-    b = (tmp_path / "t3" / "tables" / "instances.csv").read_bytes()
-    assert a == b
+    for table in ("instances.csv", "summary.csv"):
+        a = (tmp_path / "t1" / "tables" / table).read_bytes()
+        b = (tmp_path / "t3" / "tables" / table).read_bytes()
+        assert a == b
 
 
 def test_schema_documents_every_column(tmp_path):
