@@ -296,7 +296,6 @@ class BoundaryQuadrature:
     nodes: np.ndarray
     normals: np.ndarray
     weights: np.ndarray
-    curvature: np.ndarray | None = None
 
     @property
     def arc_length(self) -> float:
@@ -351,7 +350,6 @@ def build_boundary_quadrature(spec: DomainSpec, n_theta: int) -> BoundaryQuadrat
         nodes=nodes,
         normals=spec.boundary_normal(theta),
         weights=weights,
-        curvature=spec.boundary_curvature(theta),
     )
     holes = []
     n_hole = max(64, n_theta // 2)
@@ -366,7 +364,6 @@ def build_boundary_quadrature(spec: DomainSpec, n_theta: int) -> BoundaryQuadrat
                 nodes=hole.boundary_points(th),
                 normals=-unit,  # out of the region = into the hole
                 weights=np.full(n_hole, TWO_PI * hole.radius / n_hole),
-                curvature=np.full(n_hole, -1.0 / hole.radius),
             )
         )
     return BoundaryQuadratures(gamma=gamma, holes=tuple(holes))
@@ -726,7 +723,6 @@ def tubular_sets(
         nodes=x - sigma * nrm,
         normals=-nrm,  # outward normal of the tube on its inner interface
         weights=speed * (1.0 - sigma * kappa) * (TWO_PI / n_theta),
-        curvature=None,
     )
     return tube, inner
 

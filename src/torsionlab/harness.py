@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import platform
 import sys
 import time
@@ -72,6 +73,8 @@ EXPERIMENTS = ("identities", "stability", "cauchy-stability", "shapeflow", "poin
 
 SWEEP_AXES = ("eps", "hole_radius")
 
+FIELD_KINDS = ("radial", "dirichlet", "overdetermined", "cauchy-literal")
+
 
 class ConfigError(ValueError):
     def __init__(self, path, message):
@@ -109,52 +112,13 @@ def parse_config_text(text: str) -> dict:
     return tree
 
 
-# every key a config may set; anything else is a typo, not a default
-CONFIG_KEYS = frozenset(
-    {
-        "experiment",
-        "seed",
-        "out_dir",
-        "threads",
-        "domain.outer_radius",
-        "domain.modes",
-        "domain.holes",
-        "field.kind",
-        "quadrature.n_theta",
-        "quadrature.n_r",
-        "tolerances.identity_rel",
-        "tolerances.overdet",
-        "tolerances.growth_samples",
-        "sweep.axis",
-        "sweep.values",
-        "stability.regime",
-        "cauchy.c",
-        "cauchy.k",
-        "cauchy.eps",
-        "poincare.triples",
-        "poincare.n_fields",
-    }
-)
-
-
-def _key_paths(tree, prefix=""):
-    """Dotted paths of the leaves of a parsed config tree."""
+def _leaves(tree, prefix=""):
+    """(dotted path, value) of each leaf of a parsed config tree."""
     for key, value in tree.items():
         if isinstance(value, dict):
-            yield from _key_paths(value, f"{prefix}{key}.")
+            yield from _leaves(value, f"{prefix}{key}.")
         else:
-            yield f"{prefix}{key}"
-
-
-def _get(tree, path, default=None, required=False):
-    node = tree
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(path, "missing required field")
-            return default
-        node = node[part]
-    return node
+            yield f"{prefix}{key}", value
 
 
 def _typed(path, value, kind):
@@ -170,17 +134,64 @@ def _typed(path, value, kind):
     return kind(value)
 
 
-def _number(tree, path, default, kind=float):
-    return _typed(path, _get(tree, path, default), kind)
+# A rule maps (path, value) to the parsed value or raises a ConfigError
+# naming path.
+
+_BOUNDS = {">": operator.gt, ">=": operator.ge}
 
 
-def _lists_of(path, value, size, what):
-    """value as a list of size-element lists, else a ConfigError naming path."""
-    if not isinstance(value, list) or not all(
-        isinstance(v, list) and len(v) == size for v in value
-    ):
-        raise ConfigError(path, f"expected a list of {what}")
+def _number(kind, bound, even=False):
+    """Rule: a number of kind within bound ('> 0', '>= 1', ...), even if asked."""
+    op, limit = bound.split()
+    need = f"even and {bound}" if even else bound
+
+    def parse(path, value):
+        v = _typed(path, value, kind)
+        if not _BOUNDS[op](v, float(limit)) or (even and v % 2):
+            raise ConfigError(path, f"must be {need}, got {v!r}")
+        return v
+
+    return parse
+
+
+def _one_of(*options):
+    def parse(path, value):
+        if value not in options:
+            raise ConfigError(path, f"must be one of {options}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _text(path, value):
+    if not isinstance(value, str):
+        raise ConfigError(path, f"expected a path string, got {value!r}")
     return value
+
+
+def _rows(what, *kinds):
+    """Rule: a list of len(kinds)-element lists, entry j of kind kinds[j]."""
+
+    def parse(path, value):
+        if not isinstance(value, list) or not all(
+            isinstance(v, list) and len(v) == len(kinds) for v in value
+        ):
+            raise ConfigError(path, f"expected a list of {what}")
+        return tuple(
+            tuple(_typed(f"{path}[{i}]", x, k) for x, k in zip(row, kinds))
+            for i, row in enumerate(value)
+        )
+
+    return parse
+
+
+def _ascending(path, value):
+    if not isinstance(value, list):
+        raise ConfigError(path, "expected a list of numbers")
+    values = tuple(_typed(f"{path}[{i}]", v, float) for i, v in enumerate(value))
+    if list(values) != sorted(values):
+        raise ConfigError(path, "values must be sorted ascending")
+    return values
 
 
 @dataclass
@@ -206,130 +217,111 @@ class ScenarioConfig:
     cauchy_eps: float = 0.01
     poincare_triples: tuple = ((2.0, 2.0, 0.5),)
     poincare_n_fields: int = 50
-    raw: dict = dc_field(default_factory=dict)
+    raw: dict = dc_field(default_factory=dict, compare=False)
+
+
+# every key a config may set, as (ScenarioConfig field, rule); anything else
+# is a typo, and a key left out takes the field's default
+_KEYS = {
+    "experiment": ("experiment", _one_of(*EXPERIMENTS)),
+    "seed": ("seed", _number(int, ">= 0")),
+    "out_dir": ("out_dir", _text),
+    "threads": ("threads", _number(int, ">= 1")),
+    "domain.outer_radius": ("outer_radius", _number(float, "> 0")),
+    "domain.modes": ("modes", _rows("[wavenumber, amplitude] pairs", int, float)),
+    "domain.holes": ("holes", _rows("[cx, cy, radius, g]", float, float, float, float)),
+    "field.kind": ("field_kind", _one_of(*FIELD_KINDS)),
+    "quadrature.n_theta": ("n_theta", _number(int, ">= 64", even=True)),
+    "quadrature.n_r": ("n_r", _number(int, ">= 4")),
+    "tolerances.identity_rel": ("identity_rel_tol", _number(float, "> 0")),
+    "tolerances.overdet": ("overdet_tol", _number(float, "> 0")),
+    "tolerances.growth_samples": ("growth_samples", _number(int, ">= 1")),
+    "sweep.axis": ("sweep_axis", _one_of(None, *SWEEP_AXES)),
+    "sweep.values": ("sweep_values", _ascending),
+    "stability.regime": ("regime", _one_of(*REGIMES)),
+    "cauchy.c": ("cauchy_c", _number(float, "> 0")),
+    "cauchy.k": ("cauchy_k", _number(int, ">= 1")),
+    "cauchy.eps": ("cauchy_eps", _number(float, ">= 0")),
+    "poincare.triples": ("poincare_triples", _rows("[r, p, alpha] triples", float, float, float)),
+    "poincare.n_fields": ("poincare_n_fields", _number(int, ">= 1")),
+}
 
 
 def validate_config(tree: dict) -> ScenarioConfig:
-    for path in _key_paths(tree):
-        if path not in CONFIG_KEYS:
+    given = dict(_leaves(tree))
+    for path in given:
+        if path not in _KEYS:
             raise ConfigError(path, "unknown key")
-    exp = _get(tree, "experiment", required=True)
-    if exp not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {exp!r}")
-    cfg = ScenarioConfig(experiment=exp, raw=tree)
-    cfg.seed = _number(tree, "seed", 0, int)
-    if cfg.seed < 0:
-        raise ConfigError("seed", f"must be >= 0, got {cfg.seed}")
-    cfg.out_dir = _get(tree, "out_dir", "run_output")
-    if not isinstance(cfg.out_dir, str):
-        raise ConfigError("out_dir", f"expected a path string, got {cfg.out_dir!r}")
-    cfg.threads = _number(tree, "threads", 1, int)
-    if cfg.threads < 1:
-        raise ConfigError("threads", f"must be >= 1, got {cfg.threads}")
-    cfg.outer_radius = _number(tree, "domain.outer_radius", 1.0)
-    if cfg.outer_radius <= 0:
-        raise ConfigError("domain.outer_radius", "must be positive")
-    modes = _lists_of(
-        "domain.modes", _get(tree, "domain.modes", []), 2, "[wavenumber, amplitude] pairs"
-    )
-    cfg.modes = tuple(
-        (_typed(f"domain.modes[{i}]", k, int), _typed(f"domain.modes[{i}]", e, float))
-        for i, (k, e) in enumerate(modes)
-    )
-    holes = _lists_of("domain.holes", _get(tree, "domain.holes", []), 4, "[cx, cy, radius, g]")
-    cfg.holes = tuple(
-        tuple(_typed(f"domain.holes[{i}]", v, float) for v in h) for i, h in enumerate(holes)
-    )
-    cfg.field_kind = str(_get(tree, "field.kind", "dirichlet"))
-    if cfg.field_kind not in ("radial", "dirichlet", "overdetermined", "cauchy-literal"):
-        raise ConfigError("field.kind", f"unknown field kind {cfg.field_kind!r}")
-    if cfg.field_kind == "overdetermined" and cfg.modes:
-        raise ConfigError(
-            "domain.modes",
-            "overdetermined instances build their own outer curve; leave domain.modes unset",
-        )
-    if cfg.field_kind == "overdetermined" and _get(tree, "domain.outer_radius") is not None:
-        raise ConfigError(
-            "domain.outer_radius",
-            "overdetermined instances build their own outer curve; leave domain.outer_radius unset",
-        )
-    cfg.n_theta = _number(tree, "quadrature.n_theta", 256, int)
-    cfg.n_r = _number(tree, "quadrature.n_r", 48, int)
-    if cfg.n_theta < 64 or cfg.n_theta % 2:
-        raise ConfigError("quadrature.n_theta", "must be even and >= 64")
-    if cfg.n_r < 4:
-        raise ConfigError("quadrature.n_r", f"must be >= 4, got {cfg.n_r}")
-    cfg.identity_rel_tol = _number(tree, "tolerances.identity_rel", 1e-4)
-    cfg.overdet_tol = _number(tree, "tolerances.overdet", 1e-6)
-    cfg.growth_samples = _number(tree, "tolerances.growth_samples", 10000, int)
-    if cfg.growth_samples < 1:
-        raise ConfigError(
-            "tolerances.growth_samples", f"must be >= 1, got {cfg.growth_samples}"
-        )
-    cfg.sweep_axis = _get(tree, "sweep.axis", None)
-    values = _get(tree, "sweep.values", [])
-    if not isinstance(values, list):
-        raise ConfigError("sweep.values", "expected a list of numbers")
-    cfg.sweep_values = tuple(_typed(f"sweep.values[{i}]", v, float) for i, v in enumerate(values))
-    if list(cfg.sweep_values) != sorted(cfg.sweep_values):
-        raise ConfigError("sweep.values", "values must be sorted ascending")
-    cfg.regime = str(_get(tree, "stability.regime", "sphere-condition"))
-    if cfg.regime not in REGIMES:
-        raise ConfigError("stability.regime", f"must be one of {REGIMES}, got {cfg.regime!r}")
-    cfg.cauchy_c = _number(tree, "cauchy.c", 0.5)
-    cfg.cauchy_k = _number(tree, "cauchy.k", 3, int)
-    cfg.cauchy_eps = _number(tree, "cauchy.eps", 0.01)
-    triples = _lists_of(
-        "poincare.triples", _get(tree, "poincare.triples", [[2.0, 2.0, 0.5]]), 3,
-        "[r, p, alpha] triples",
-    )
-    cfg.poincare_triples = tuple(
-        tuple(_typed(f"poincare.triples[{i}]", x, float) for x in t) for i, t in enumerate(triples)
-    )
-    if exp == "poincare":
-        for i, (r, p, alpha) in enumerate(cfg.poincare_triples):
-            try:
-                validate_poincare_triple(r, p, alpha)
-            except ExponentTripleError as err:
-                raise ConfigError(f"poincare.triples[{i}]", str(err)) from None
-    cfg.poincare_n_fields = _number(tree, "poincare.n_fields", 50, int)
-    if cfg.poincare_n_fields < 1:
-        raise ConfigError("poincare.n_fields", f"must be >= 1, got {cfg.poincare_n_fields}")
-    _validate_sweep(cfg)
+    if "experiment" not in given:
+        raise ConfigError("experiment", "missing required field")
+    values = {_KEYS[path][0]: _KEYS[path][1](path, v) for path, v in given.items()}
+    cfg = ScenarioConfig(**values, raw=tree)
+    _check_combinations(cfg, given)
     return cfg
 
 
-def _validate_sweep(cfg: ScenarioConfig):
-    """A sweep experiment declares its axis and values; the axis fixes the
-    field kind and the holes (there is no default hole)."""
-    axis = cfg.sweep_axis
+def _check_combinations(cfg: ScenarioConfig, given: dict):
+    """The rules that tie keys together.  A sweep declares its axis and
+    values, and the axis fixes the field kind and the holes (there is no
+    default hole); each field kind and experiment then restricts the domain."""
+    axis, holes = cfg.sweep_axis, cfg.holes
     if cfg.experiment == "cauchy-stability":
         if axis is None:
             raise ConfigError("sweep.axis", "sweep requires a declared axis")
         if not cfg.sweep_values:
             raise ConfigError("sweep.values", "sweep requires a nonempty, sorted value list")
-    if axis is None:
-        return
-    if axis not in SWEEP_AXES:
-        raise ConfigError("sweep.axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
     if axis == "hole_radius":
-        if cfg.holes:
+        if holes:
             raise ConfigError(
                 "domain.holes",
                 "hole_radius sweeps build their own centered hole; leave domain.holes unset",
             )
         if cfg.field_kind != "radial":
             raise ConfigError("field.kind", "hole_radius sweeps use field.kind=radial")
-    elif cfg.field_kind not in ("overdetermined", "cauchy-literal"):
+        for i, v in enumerate(cfg.sweep_values):
+            if not 0 < v < cfg.outer_radius:
+                raise ConfigError(
+                    f"sweep.values[{i}]",
+                    f"hole radii must lie in (0, domain.outer_radius={cfg.outer_radius:g}), got {v!r}",
+                )
+    elif axis == "eps":
+        if cfg.field_kind not in ("overdetermined", "cauchy-literal"):
+            raise ConfigError(
+                "field.kind",
+                f"eps sweeps use field.kind=overdetermined or cauchy-literal, got {cfg.field_kind!r}",
+            )
+        eps_rule = _KEYS["cauchy.eps"][1]
+        for i, v in enumerate(cfg.sweep_values):
+            eps_rule(f"sweep.values[{i}]", v)
+    if cfg.field_kind == "radial":
+        if cfg.modes:
+            raise ConfigError(
+                "domain.modes", "radial fields are exact on a circle; leave domain.modes unset"
+            )
+        if len(holes) > 1:
+            raise ConfigError("domain.holes", "radial fields support at most one hole")
+        if holes and holes[0][:2] != (0.0, 0.0):
+            raise ConfigError("domain.holes", "radial fields need holes centered at the origin")
+    if cfg.field_kind == "overdetermined":
+        for path in ("domain.modes", "domain.outer_radius"):
+            if path in given:
+                raise ConfigError(
+                    path, f"overdetermined instances build their own outer curve; leave {path} unset"
+                )
+        if len(holes) != 1:
+            raise ConfigError(
+                "domain.holes", f"overdetermined instances use exactly one hole, got {len(holes)}"
+            )
+    if cfg.experiment == "shapeflow" and holes:
         raise ConfigError(
-            "field.kind",
-            f"eps sweeps use field.kind=overdetermined or cauchy-literal, got {cfg.field_kind!r}",
+            "domain.holes", "the shape flow moves a hole-free domain; leave domain.holes unset"
         )
-    elif cfg.field_kind == "overdetermined" and len(cfg.holes) != 1:
-        raise ConfigError(
-            "domain.holes",
-            f"eps sweeps of overdetermined instances use exactly one hole, got {len(cfg.holes)}",
-        )
+    if cfg.experiment == "poincare":
+        for i, (r, p, alpha) in enumerate(cfg.poincare_triples):
+            try:
+                validate_poincare_triple(r, p, alpha)
+            except ExponentTripleError as err:
+                raise ConfigError(f"poincare.triples[{i}]", str(err)) from None
 
 
 def load_config(path) -> ScenarioConfig:
@@ -353,10 +345,6 @@ def _build_field(cfg: ScenarioConfig, spec: DomainSpec):
     """(spec, model, extras) for the configured field kind; the spec may be
     replaced (hole carving, free-boundary construction)."""
     if cfg.field_kind == "radial":
-        if any(abs(h.center[0]) + abs(h.center[1]) > 0 for h in spec.holes):
-            raise ConfigError("field.kind", "radial fields need holes centered at the origin")
-        if len(spec.holes) > 1:
-            raise ConfigError("field.kind", "radial fields support at most one hole")
         if spec.holes:
             h = spec.holes[0]
             model = radial_annulus_model(spec.outer_radius, h.radius, h.dirichlet_value)
@@ -367,9 +355,7 @@ def _build_field(cfg: ScenarioConfig, spec: DomainSpec):
         model, diag = solve_dirichlet(spec)
         return spec, model, {"solver": diag}
     if cfg.field_kind == "overdetermined":
-        if len(spec.holes) != 1:
-            raise ConfigError("domain.holes", "overdetermined instances use exactly one hole")
-        h = spec.holes[0]
+        (h,) = spec.holes
         inst = overdetermined_instance(
             cfg.cauchy_eps, c=cfg.cauchy_c, hole_center=h.center, hole_radius=h.radius
         )
@@ -458,29 +444,12 @@ def run_identities(cfg: ScenarioConfig):
             witness=f"mismatch={fc.mismatch:.3e}",
         )
     )
-    rows = [
-        {
-            "identity": rep.identity,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "abs_residual": rep.abs_residual,
-            "rel_residual": rep.rel_residual,
-        }
-        for rep in reports
-    ]
+    rows = [_row(IDENTITY_COLUMNS, rep) for rep in reports]
     payload = {
         "field_model": model.to_dict(),
         "identities": [
-            {
-                "identity": r.identity,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "abs_residual": r.abs_residual,
-                "rel_residual": r.rel_residual,
-                "breakdown": r.breakdown,
-                "extras": r.extras,
-            }
-            for r in reports
+            {**row, "breakdown": rep.breakdown, "extras": rep.extras}
+            for row, rep in zip(rows, reports)
         ],
         "flux_constant": {
             "from_divergence": fc.from_divergence,
@@ -569,24 +538,7 @@ def run_stability(cfg: ScenarioConfig):
 
 
 def _stability_row(axis, value, rep):
-    return {
-        "axis": axis,
-        "value": value,
-        "label": rep.label,
-        "eta": rep.eta,
-        "holes_perimeter": rep.holes_perimeter,
-        "pseudo_distance": rep.pseudo_distance,
-        "asymmetry": rep.asymmetry,
-        "rho_gap": rep.rho_e - rep.rho_i,
-        "psi_eta": rep.psi_eta,
-        "tau_exponent": rep.tau_exponent,
-        "c": rep.c,
-        "r_i": rep.r_i,
-        "d_omega": rep.d_omega,
-        "hole_c2_norm": rep.hole_c2_norm,
-        "grad_max_tube": rep.grad_max_tube,
-        "hypotheses_pass": int(rep.hypotheses_pass),
-    }
+    return _row(INSTANCE_COLUMNS, rep, axis=axis, value=value, rho_gap=rep.rho_e - rep.rho_i)
 
 
 def _sweep_instances(cfg: ScenarioConfig):
@@ -665,16 +617,13 @@ def run_cauchy_stability(cfg: ScenarioConfig):
         "excluded": list(excluded),
         "slopes": _finite(slopes),
     }
+    summary = [("fitted", k, v, "") for k, v in sorted(fitted.items())] + [
+        ("slope", s["column"], s["slope"], s["r_squared"]) for s in slopes
+    ]
+    names = [c for c, _ in SUMMARY_COLUMNS]
     tables = {
         "instances": (INSTANCE_COLUMNS, rows),
-        "summary": (
-            SUMMARY_COLUMNS,
-            [{"kind": "fitted", "name": k, "value": v, "r_squared": ""} for k, v in sorted(fitted.items())]
-            + [
-                {"kind": "slope", "name": s["column"], "value": s["slope"], "r_squared": s["r_squared"]}
-                for s in slopes
-            ],
-        ),
+        "summary": (SUMMARY_COLUMNS, [dict(zip(names, entry)) for entry in summary]),
     }
     return payload, tables, assertions
 
@@ -685,21 +634,11 @@ def run_shapeflow(cfg: ScenarioConfig):
     round_ = final_roundness(result)
     energies = [s.energy for s in result.trajectory]
     monotone = all(b >= a - 1e-9 for a, b in zip(energies, energies[1:]))
-    rows = []
     area0 = result.trajectory[0].area
-    for s in result.trajectory:
-        rows.append(
-            {
-                "iteration": s.iteration,
-                "energy": s.energy,
-                "u_nu_mean": s.u_nu_mean,
-                "u_nu_std": s.u_nu_std,
-                "flatness": s.flatness,
-                "rho_gap": roundness_gap(s.spec),
-                "step": s.step,
-                "area_drift": abs(s.area - area0) / area0,
-            }
-        )
+    rows = [
+        _row(TRAJECTORY_COLUMNS, s, rho_gap=roundness_gap(s.spec), area_drift=abs(s.area - area0) / area0)
+        for s in result.trajectory
+    ]
     assertions = [
         Assertion("flow_converged", result.converged, witness=result.reason),
         Assertion("energy_monotone_over_accepted_steps", monotone),
@@ -732,31 +671,19 @@ def run_poincare(cfg: ScenarioConfig):
     quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
     d_om = diameter(spec)
     r_i = interior_sphere_radius(spec, d_omega=d_om)
-    rows = []
-    assertions = []
     reports = poincare_ratio_experiment(
         spec, quads, cfg.poincare_triples,
         n_fields=cfg.poincare_n_fields, seed=cfg.seed, r_i=r_i, d_omega=d_om,
     )
-    for rep in reports:
-        rows.append(
-            {
-                "r": rep.r,
-                "p": rep.p,
-                "alpha": rep.alpha,
-                "case": rep.case,
-                "n_fields": rep.n_fields,
-                "max_ratio": rep.max_ratio,
-                "normalized_bound": rep.normalized_bound,
-            }
+    rows = [_row(POINCARE_COLUMNS, rep) for rep in reports]
+    assertions = [
+        Assertion(
+            f"poincare_ratio_finite:r={rep.r:g},p={rep.p:g},alpha={rep.alpha:g}",
+            math.isfinite(rep.max_ratio),
+            witness=f"max_ratio={rep.max_ratio:.4e} normalized_bound={rep.normalized_bound:.4e}",
         )
-        assertions.append(
-            Assertion(
-                f"poincare_ratio_finite:r={rep.r:g},p={rep.p:g},alpha={rep.alpha:g}",
-                math.isfinite(rep.max_ratio),
-                witness=f"max_ratio={rep.max_ratio:.4e} normalized_bound={rep.normalized_bound:.4e}",
-            )
-        )
+        for rep in reports
+    ]
     payload = {"poincare": rows}
     tables = {"poincare": (POINCARE_COLUMNS, rows)}
     return payload, tables, assertions
@@ -831,6 +758,11 @@ POINCARE_COLUMNS = (
 )
 
 
+def _row(columns, obj, **computed):
+    """One table row: column c is computed[c] if given, else obj.c."""
+    return {c: computed[c] if c in computed else getattr(obj, c) for c, _ in columns}
+
+
 def _fmt(value):
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
@@ -849,7 +781,7 @@ def write_tables(out_dir: Path, tables: dict) -> dict:
         cols = [c for c, _ in columns]
         lines = [",".join(cols)]
         for row in rows:
-            lines.append(",".join(_fmt(row.get(c, "")) for c in cols))
+            lines.append(",".join(_fmt(row[c]) for c in cols))
         (tdir / f"{name}.csv").write_text("\n".join(lines) + "\n")
         schema[f"tables/{name}.csv"] = {c: desc for c, desc in columns}
     return schema
@@ -895,14 +827,10 @@ def execute(cfg: ScenarioConfig):
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
-        cfg.threads = args.threads
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
-        cfg.seed = args.seed
+    for key in ("seed", "threads"):
+        if getattr(args, key) is not None:
+            name, rule = _KEYS[key]
+            setattr(cfg, name, rule(f"--{key}", getattr(args, key)))
     return cfg
 
 
@@ -940,9 +868,6 @@ def main(argv=None) -> int:
         return 2
     except InvalidDomainError as exc:
         print(f"config error: domain invariant violated: {exc}", file=sys.stderr)
-        return 2
-    except ExponentTripleError as exc:
-        print(f"config error: poincare.triples: {exc}", file=sys.stderr)
         return 2
     except (SolverConvergenceError, OverdeterminationError, QuadratureError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -148,9 +148,9 @@ def _rescale_area(spec: DomainSpec, target_area: float) -> DomainSpec:
 
 
 def flow_to_constant_flux(spec: DomainSpec) -> FlowResult:
-    """Evolve the outer curve along +(u_nu^2 - mean) normal velocity, with
-    exact area restoration each step, until u_nu is flat to flatness_tol =
-    1e-3, for at most max_iters = 200 steps.
+    """Evolve the outer curve of a hole-free domain along +(u_nu^2 - mean)
+    normal velocity, with exact area restoration each step, until u_nu is
+    flat to flatness_tol = 1e-3, for at most max_iters = 200 steps.
 
     u_nu comes from a Dirichlet solve (96 sources per ring) on 512 boundary
     nodes, and each step is refit to the first 16 cosine modes.  Steps are
@@ -159,6 +159,8 @@ def flow_to_constant_flux(spec: DomainSpec) -> FlowResult:
     than max_halvings = 12 halvings stalls the flow.
     """
     max_iters, flatness_tol, energy_tol, max_halvings = 200, 1e-3, 1e-9, 12
+    if spec.holes:
+        raise ValueError(f"the flow needs a hole-free domain, got {len(spec.holes)} holes")
     if sum(abs(e) for _, e in spec.fourier_modes) > 0.1 + 1e-12:
         raise ValueError("initial perturbation amplitudes must satisfy sum |eps_k| <= 0.1")
     target_area = spec.outer_area

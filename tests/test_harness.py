@@ -8,6 +8,7 @@ import pytest
 from torsionlab import _blas, harness
 from torsionlab.harness import (
     ConfigError,
+    ScenarioConfig,
     load_config,
     main,
     parse_config_text,
@@ -164,6 +165,20 @@ def test_negative_seed_override_rejected(tmp_path, capsys):
         ("quadrature.n_r = 3", "quadrature.n_r"),
         ('out_dir = ["a", "b"]', "out_dir"),
         ("seed = -1", "seed"),
+        # a negative eps used to escape as a ValueError traceback (exit 1)
+        ("cauchy.eps = -0.01", "cauchy.eps"),
+        (
+            'field.kind = "cauchy-literal"\nsweep.axis = "eps"\nsweep.values = [-0.01, 0.02]',
+            "sweep.values[0]",
+        ),
+        # c <= 0 used to run the free-boundary iteration to a residual of 1e20
+        ("cauchy.c = -0.5", "cauchy.c"),
+        ("cauchy.c = 0", "cauchy.c"),
+        # a tolerance <= 0 used to fail every identity assertion
+        ("tolerances.identity_rel = 0", "tolerances.identity_rel"),
+        ("tolerances.overdet = -1e-6", "tolerances.overdet"),
+        # k < 1 used to be a domain invariant error that did not name the key
+        ("cauchy.k = 0", "cauchy.k"),
     ],
 )
 def test_bad_value_type_exits_two(tmp_path, capsys, line, path):
@@ -173,9 +188,25 @@ def test_bad_value_type_exits_two(tmp_path, capsys, line, path):
         validate_config(parse_config_text(RADIAL_IDENTITIES + line + "\n"))
     assert err.value.path == path
     cfg = write(tmp_path, "bad.cfg", RADIAL_IDENTITIES + line + "\n")
-    assert main(["validate", cfg]) == 2
-    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert f"'{path}'" in capsys.readouterr().err
+    for command in ("validate", "run", "sweep"):
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"'{path}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["identities", "stability", "shapeflow", "poincare"])
+def test_every_key_accepts_its_default(experiment):
+    # each rule accepts its field's default, so spelling a default out
+    # changes nothing
+    defaults = ScenarioConfig(experiment)
+    lines = [f'experiment = "{experiment}"']
+    for path, (name, _) in harness._KEYS.items():
+        if path != "experiment":
+            lines.append(f"{path} = {json.dumps(getattr(defaults, name))}")
+    assert len(lines) == 21
+    spelled = validate_config(parse_config_text("\n".join(lines)))
+    empty = validate_config(parse_config_text(lines[0]))
+    assert spelled == empty == defaults
 
 
 def test_whole_float_accepted_for_integer_key():
@@ -224,16 +255,35 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         (SWEEP_EPS.replace("domain.holes = [[0.4, 0.0, 0.1, 0.0]]\n", ""), "domain.holes"),
         (SWEEP_EPS + "domain.modes = [[3, 0.05]]\n", "domain.modes"),
         (SWEEP_EPS + "domain.outer_radius = 1.0\n", "domain.outer_radius"),
+        # validate used to pass these and run or sweep to exit 2
+        (RADIAL_IDENTITIES.replace("[[0.0, 0.0,", "[[0.3, 0.0,"), "domain.holes"),
+        (RADIAL_IDENTITIES.replace("-0.24]]", "-0.24], [0.5, 0.0, 0.1, -0.1]]"), "domain.holes"),
+        (
+            SWEEP_EPS.replace('"cauchy-stability"', '"stability"')
+            .replace('sweep.axis = "eps"\n', "")
+            .replace("domain.holes = [[0.4, 0.0, 0.1, 0.0]]\n", ""),
+            "domain.holes",
+        ),
+        # the exact annulus field used to be checked on a perturbed curve
+        (RADIAL_IDENTITIES + "domain.modes = [[3, 0.05]]\n", "domain.modes"),
+        # a hole radius >= R used to be blamed on the hole's Dirichlet value
+        (SWEEP_RADIAL.replace("0.2]", "1.0]"), "sweep.values[2]"),
+        # the flow refits a hole-free curve, so a hole used to vanish after step 0
+        (SHAPEFLOW + "domain.holes = [[0.3, 0.0, 0.1, 0.0]]\n", "domain.holes"),
     ],
     ids=[
         "unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes",
         "eps-no-hole", "overdetermined-with-modes", "overdetermined-with-outer-radius",
+        "radial-off-centre-hole", "radial-two-holes", "overdetermined-run-no-hole",
+        "radial-with-modes", "hole-radius-beyond-outer-curve", "shapeflow-with-holes",
     ],
 )
 def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):
     cfg = write(tmp_path, "sweep.cfg", text)
-    assert main(["validate", cfg]) == 2
-    assert f"'{path}'" in capsys.readouterr().err
+    for command in ("validate", "run", "sweep"):
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"'{path}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_overdetermined_rejects_modes(tmp_path, capsys):
@@ -314,6 +364,7 @@ def test_run_radial_identities(tmp_path, capsys):
 
 def test_run_rejects_invalid_domain(tmp_path, capsys):
     bad = RADIAL_IDENTITIES.replace("[[0.0, 0.0, 0.2, -0.24]]", "[[0.9, 0.0, 0.3, -0.1]]")
+    bad = bad.replace('field.kind = "radial"', 'field.kind = "dirichlet"')
     cfg = write(tmp_path, "bad.cfg", bad)
     rc = main(["run", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -498,6 +549,15 @@ def test_schema_documents_every_column(tmp_path):
         header = csv_path.read_text().splitlines()[0].split(",")
         assert set(header) == set(columns)
         assert all(isinstance(desc, str) and desc for desc in columns.values())
+
+
+def test_write_tables_requires_every_column(tmp_path):
+    # a row missing a column is an error, not an empty cell
+    columns = (("a", "first"), ("b", "second"))
+    harness.write_tables(tmp_path, {"t": (columns, [{"a": 1, "b": 2.5}])})
+    assert (tmp_path / "tables" / "t.csv").read_text() == "a,b\n1,2.5\n"
+    with pytest.raises(KeyError, match="'b'"):
+        harness.write_tables(tmp_path, {"t": (columns, [{"a": 1}])})
 
 
 def test_report_numbers_are_finite(tmp_path):

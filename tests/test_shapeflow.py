@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from torsionlab.geometry import DomainSpec, build_quadratures
+from torsionlab.geometry import DomainSpec, Hole, build_quadratures
 from torsionlab.identities import compute_flux_constant
 from torsionlab.shapeflow import (
     energy,
@@ -164,6 +164,13 @@ def test_flow_two_modes_monotone_std():
 def test_flow_rejects_large_initial_amplitude():
     with pytest.raises(ValueError):
         flow_to_constant_flux(DomainSpec(1.0, ((2, 0.08), (3, 0.05),)))
+
+
+def test_flow_rejects_holes():
+    # each step refits a hole-free curve, so a hole used to vanish after step 0
+    holed = DomainSpec(1.0, ((3, 0.05),), (Hole((0.3, 0.0), 0.1, 0.0),))
+    with pytest.raises(ValueError, match="hole-free"):
+        flow_to_constant_flux(holed)
 
 
 def test_flow_realizes_overdetermined_condition(flow_result):
