@@ -67,7 +67,7 @@ from .stability import (
     validate_poincare_triple,
 )
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXPERIMENTS = ("identities", "stability", "cauchy-stability", "shapeflow", "poincare")
 
@@ -247,6 +247,28 @@ _KEYS = {
 }
 
 
+_STABILITY = ("stability", "cauchy-stability")
+
+# the experiments that read each key, by key or key prefix; a key that no
+# entry matches is read by every experiment
+_READ_BY = {
+    "domain.holes": ("identities", *_STABILITY, "poincare"),
+    "quadrature.": ("identities", *_STABILITY, "poincare"),
+    "field.": ("identities", *_STABILITY),
+    "cauchy.": ("identities", *_STABILITY),
+    "tolerances.overdet": ("identities", *_STABILITY),
+    "tolerances.identity_rel": ("identities",),
+    "tolerances.growth_samples": _STABILITY,
+    "sweep.": _STABILITY,
+    "stability.": _STABILITY,
+    "poincare.": ("poincare",),
+}
+
+
+def _readers(path):
+    return next((r for key, r in _READ_BY.items() if path.startswith(key)), EXPERIMENTS)
+
+
 def validate_config(tree: dict) -> ScenarioConfig:
     given = dict(_leaves(tree))
     for path in given:
@@ -261,15 +283,19 @@ def validate_config(tree: dict) -> ScenarioConfig:
 
 
 def _check_combinations(cfg: ScenarioConfig, given: dict):
-    """The rules that tie keys together.  A sweep declares its axis and
-    values, and the axis fixes the field kind and the holes (there is no
-    default hole); each field kind and experiment then restricts the domain."""
+    """The rules that tie keys together.  Each key must be read by the
+    experiment; a sweep declares its axis and values, and the axis fixes the
+    field kind and the holes (there is no default hole); each field kind and
+    experiment then restricts the domain."""
+    for path in given:
+        if cfg.experiment not in _readers(path):
+            readers = ", ".join(_readers(path))
+            raise ConfigError(path, f"not read by experiment {cfg.experiment!r}, only by {readers}")
     axis, holes = cfg.sweep_axis, cfg.holes
-    if cfg.experiment == "cauchy-stability":
-        if axis is None:
-            raise ConfigError("sweep.axis", "sweep requires a declared axis")
-        if not cfg.sweep_values:
-            raise ConfigError("sweep.values", "sweep requires a nonempty, sorted value list")
+    if cfg.experiment == "cauchy-stability" and axis is None:
+        raise ConfigError("sweep.axis", "sweep requires a declared axis")
+    if axis is not None and not cfg.sweep_values:
+        raise ConfigError("sweep.values", "sweep requires a nonempty, sorted value list")
     if axis == "hole_radius":
         if holes:
             raise ConfigError(
@@ -312,16 +338,14 @@ def _check_combinations(cfg: ScenarioConfig, given: dict):
             raise ConfigError(
                 "domain.holes", f"overdetermined instances use exactly one hole, got {len(holes)}"
             )
-    if cfg.experiment == "shapeflow" and holes:
-        raise ConfigError(
-            "domain.holes", "the shape flow moves a hole-free domain; leave domain.holes unset"
-        )
     if cfg.experiment == "poincare":
         for i, (r, p, alpha) in enumerate(cfg.poincare_triples):
             try:
                 validate_poincare_triple(r, p, alpha)
             except ExponentTripleError as err:
                 raise ConfigError(f"poincare.triples[{i}]", str(err)) from None
+    if axis is None and cfg.sweep_values:
+        raise ConfigError("sweep.values", "sweep values need a declared sweep.axis")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -461,40 +485,40 @@ def run_identities(cfg: ScenarioConfig):
     return payload, tables, assertions
 
 
-def _single_stability(cfg, spec, model, label="instance"):
-    """(stability report, growth check, Hopf check) of one instance."""
+def _points(cfg: ScenarioConfig):
+    """(label, axis, value, spec, model) of each point of a stability run:
+    the configured instance without a sweep, else one point per sweep value,
+    the config with the swept field replaced and built like a single run."""
+    if cfg.sweep_axis is None:
+        spec, model, _ = _build_field(cfg, _build_spec(cfg))
+        yield "instance", "value", 0.0, spec, model
+    for v in cfg.sweep_values:
+        if cfg.sweep_axis == "hole_radius":
+            point = replace(cfg, holes=((0.0, 0.0, v, (v**2 - cfg.outer_radius**2) / 4.0),))
+        elif cfg.field_kind == "cauchy-literal":
+            point = replace(cfg, modes=((cfg.cauchy_k, v),))
+        else:
+            point = replace(cfg, cauchy_eps=v)
+        spec, model, _ = _build_field(point, _build_spec(point))
+        yield f"{cfg.sweep_axis}={v:g}", cfg.sweep_axis, v, spec, model
+
+
+def _stability_point(cfg: ScenarioConfig, point):
+    """(stability report, instances row, report entry, assertions) of one
+    point: the functionals, the growth and Hopf checks and the bound table."""
+    label, axis, value, spec, model = point
     quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
-    d_om = diameter(spec)
-    r_i = interior_sphere_radius(spec, d_omega=d_om)
     rep = stability_report(
-        spec,
-        model,
-        quads,
-        label=label,
-        regime=cfg.regime,
-        tol_overdet=cfg.overdet_tol,
+        spec, model, quads, label=label, regime=cfg.regime, tol_overdet=cfg.overdet_tol,
         waive_overdetermination=cfg.field_kind == "dirichlet",
-        r_i=r_i,
-        d_omega=d_om,
     )
     rng = np.random.default_rng(cfg.seed)
     pts = random_interior_points(spec, cfg.growth_samples, rng)
-    growth = check_growth(model, spec, pts, r_i)
-    hopf = check_hopf(model, quads.bounds.gamma, r_i)
-    return rep, growth, hopf
-
-
-def run_stability(cfg: ScenarioConfig):
-    spec = _build_spec(cfg)
-    spec, model, extras = _build_field(cfg, spec)
-    rep, growth, hopf = _single_stability(cfg, spec, model)
+    growth = check_growth(model, spec, pts, rep.r_i)
+    hopf = check_hopf(model, quads.bounds.gamma, rep.r_i)
     table = bound_table(spec, rep.c, rep.hole_c2_norm, rep.r_i, rep.d_omega)
     assertions = [
-        Assertion(
-            "hypotheses_pass",
-            rep.hypotheses_pass,
-            witness=json.dumps(rep.hypotheses),
-        ),
+        Assertion("hypotheses_pass", rep.hypotheses_pass, witness=json.dumps(rep.hypotheses)),
         Assertion(
             "growth_bounds",
             growth.passed,
@@ -524,37 +548,15 @@ def run_stability(cfg: ScenarioConfig):
                 f"{rep.comparison.constant:.3e} * {rep.comparison.pseudo_distance_sqrt:.3e}",
             )
         )
-    payload = {
-        "field_model": model.to_dict(),
+    entry = {
         "stability": _report_from_stability(rep),
         "growth": {"violations": growth.violations, "min_slack": growth.min_slack},
         "hopf": {"violations": hopf.violations, "min_slack": hopf.min_slack},
         "bounds": _finite(table.entries),
         "c_in_bracket": table.c_in_bracket,
     }
-    rows = [_stability_row(cfg.sweep_axis or "value", 0.0, rep)]
-    tables = {"instances": (INSTANCE_COLUMNS, rows)}
-    return payload, tables, assertions
-
-
-def _stability_row(axis, value, rep):
-    return _row(INSTANCE_COLUMNS, rep, axis=axis, value=value, rho_gap=rep.rho_e - rep.rho_i)
-
-
-def _sweep_instances(cfg: ScenarioConfig):
-    """(label, value, spec, model) per sweep point; each point is the config
-    with the swept field replaced, built like a single run."""
-    out = []
-    for v in cfg.sweep_values:
-        if cfg.sweep_axis == "hole_radius":
-            point = replace(cfg, holes=((0.0, 0.0, v, (v**2 - cfg.outer_radius**2) / 4.0),))
-        elif cfg.field_kind == "cauchy-literal":
-            point = replace(cfg, modes=((cfg.cauchy_k, v),))
-        else:
-            point = replace(cfg, cauchy_eps=v)
-        spec, model, _ = _build_field(point, _build_spec(point))
-        out.append((f"{cfg.sweep_axis}={v:g}", v, spec, model))
-    return out
+    row = _row(INSTANCE_COLUMNS, rep, axis=axis, value=value, rho_gap=rep.rho_e - rep.rho_i)
+    return rep, row, entry, assertions
 
 
 def _loglog_slopes(values, rows, columns):
@@ -579,40 +581,36 @@ def _loglog_slopes(values, rows, columns):
     return out
 
 
-def run_cauchy_stability(cfg: ScenarioConfig):
-    instances = _sweep_instances(cfg)
-    reports = []
-    failures = []
-    labels, values, specs, models = zip(*instances)
+def run_stability(cfg: ScenarioConfig):
+    """Both stability experiments: every point gets the same checks.  A
+    single instance runs on the calling thread; a sweep runs its points on
+    the --threads pool, names each check '<label>:<check>' and adds the
+    fitted constants and the log-log slopes."""
+    points = list(_points(cfg))
+    if cfg.sweep_axis is None:
+        _, row, entry, assertions = _stability_point(cfg, points[0])
+        payload = {"field_model": points[0][-1].to_dict(), **entry}
+        return payload, {"instances": (INSTANCE_COLUMNS, [row])}, assertions
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(pool.map(partial(_single_stability, cfg), specs, models, labels))
-
-    rows = []
-    for v, (rep, growth, hopf) in zip(values, results):
-        rows.append(_stability_row(cfg.sweep_axis, v, rep))
-        reports.append(rep)
-        if not rep.hypotheses_pass:
-            failures.append((rep.label, rep.hypotheses))
-        if not growth.passed or not hopf.passed:
-            failures.append((rep.label, {"growth": growth.passed, "hopf": hopf.passed}))
+        reports, rows, entries, checks = zip(*pool.map(partial(_stability_point, cfg), points))
     fitted, excluded = fit_constants(reports)
     slopes = _loglog_slopes(
         [r["value"] for r in rows], rows, ("pseudo_distance", "asymmetry", "rho_gap")
     )
     assertions = [
-        Assertion(
-            "all_instances_pass_hypotheses",
-            not failures,
-            witness="; ".join(f"{lbl}: {h}" for lbl, h in failures) or "all pass",
-        ),
+        Assertion(f"{rep.label}:{a.name}", a.passed, a.witness)
+        for rep, point_checks in zip(reports, checks)
+        for a in point_checks
+    ]
+    assertions.append(
         Assertion(
             "fitted_constants_finite",
             all(math.isfinite(v) for v in fitted.values()),
             witness=json.dumps({k: f"{v:.3e}" for k, v in fitted.items()}),
-        ),
-    ]
+        )
+    )
     payload = {
-        "instances": [_report_from_stability(r) for r in reports],
+        "instances": entries,
         "fitted_constants": _finite(fitted),
         "excluded": list(excluded),
         "slopes": _finite(slopes),
@@ -692,7 +690,7 @@ def run_poincare(cfg: ScenarioConfig):
 RUNNERS = {
     "identities": run_identities,
     "stability": run_stability,
-    "cauchy-stability": run_cauchy_stability,
+    "cauchy-stability": run_stability,
     "shapeflow": run_shapeflow,
     "poincare": run_poincare,
 }
@@ -861,7 +859,6 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             if not cfg.sweep_axis or not cfg.sweep_values:
                 raise ConfigError("sweep", "sweep requires sweep.axis and nonempty sweep.values")
-            cfg.experiment = "cauchy-stability"  # the sweep driver; axis picks the family
         report, assertions = execute(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

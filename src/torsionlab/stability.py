@@ -656,8 +656,6 @@ def stability_report(
     tol_overdet: float = 1e-6,
     waive_overdetermination: bool = False,
     z_override=None,
-    r_i: float | None = None,
-    d_omega: float | None = None,
 ) -> StabilityReport:
     """All stability functionals and hypothesis checks on one instance.
 
@@ -667,8 +665,8 @@ def stability_report(
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     notes = []
-    d_omega = diameter(spec) if d_omega is None else d_omega
-    r_i = interior_sphere_radius(spec, d_omega=d_omega) if r_i is None else r_i
+    d_omega = diameter(spec)
+    r_i = interior_sphere_radius(spec, d_omega=d_omega)
     bq = quads.bounds.gamma
     u_nu = normal_derivative(model, bq.nodes, bq.normals)
     gamma_len = float(np.sum(bq.weights))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -33,6 +34,11 @@ quadrature.n_r = 48
 tolerances.identity_rel = 1e-8
 """
 
+# the same instance for a stability experiment, which reads no identity tolerance
+RADIAL_STABILITY = RADIAL_IDENTITIES.replace('"identities"', '"stability"').replace(
+    "tolerances.identity_rel = 1e-8\n", ""
+)
+
 SWEEP_EPS = """
 experiment = "cauchy-stability"
 seed = 3
@@ -60,6 +66,12 @@ SHAPEFLOW = """
 experiment = "shapeflow"
 domain.outer_radius = 1.0
 domain.modes = [[3, 0.05]]
+"""
+
+POINCARE = """
+experiment = "poincare"
+domain.outer_radius = 1.0
+poincare.n_fields = 3
 """
 
 
@@ -184,10 +196,12 @@ def test_negative_seed_override_rejected(tmp_path, capsys):
 def test_bad_value_type_exits_two(tmp_path, capsys, line, path):
     # a value of the wrong type or out of range used to escape as a numpy
     # ValueError traceback (or, for out_dir, name a directory after the list)
+    # only the stability experiments read sweep keys
+    base = RADIAL_STABILITY if "sweep." in line else RADIAL_IDENTITIES
     with pytest.raises(ConfigError) as err:
-        validate_config(parse_config_text(RADIAL_IDENTITIES + line + "\n"))
+        validate_config(parse_config_text(base + line + "\n"))
     assert err.value.path == path
-    cfg = write(tmp_path, "bad.cfg", RADIAL_IDENTITIES + line + "\n")
+    cfg = write(tmp_path, "bad.cfg", base + line + "\n")
     for command in ("validate", "run", "sweep"):
         assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"'{path}'" in capsys.readouterr().err
@@ -196,21 +210,23 @@ def test_bad_value_type_exits_two(tmp_path, capsys, line, path):
 
 @pytest.mark.parametrize("experiment", ["identities", "stability", "shapeflow", "poincare"])
 def test_every_key_accepts_its_default(experiment):
-    # each rule accepts its field's default, so spelling a default out
-    # changes nothing
+    # each rule accepts its field's default, so spelling out a default of a
+    # key the experiment reads changes nothing
     defaults = ScenarioConfig(experiment)
     lines = [f'experiment = "{experiment}"']
     for path, (name, _) in harness._KEYS.items():
-        if path != "experiment":
+        if path != "experiment" and experiment in harness._readers(path):
             lines.append(f"{path} = {json.dumps(getattr(defaults, name))}")
-    assert len(lines) == 21
+    assert len(lines) == {"identities": 15, "stability": 18, "shapeflow": 6, "poincare": 11}[
+        experiment
+    ]
     spelled = validate_config(parse_config_text("\n".join(lines)))
     empty = validate_config(parse_config_text(lines[0]))
     assert spelled == empty == defaults
 
 
 def test_whole_float_accepted_for_integer_key():
-    cfg = validate_config(parse_config_text(RADIAL_IDENTITIES + "tolerances.growth_samples = 1e3\n"))
+    cfg = validate_config(parse_config_text(RADIAL_STABILITY + "tolerances.growth_samples = 1e3\n"))
     assert cfg.growth_samples == 1000 and isinstance(cfg.growth_samples, int)
 
 
@@ -270,12 +286,23 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         (SWEEP_RADIAL.replace("0.2]", "1.0]"), "sweep.values[2]"),
         # the flow refits a hole-free curve, so a hole used to vanish after step 0
         (SHAPEFLOW + "domain.holes = [[0.3, 0.0, 0.1, 0.0]]\n", "domain.holes"),
+        # keys the experiment never reads used to be accepted and ignored
+        (
+            SHAPEFLOW
+            + "quadrature.n_theta = 64\ntolerances.identity_rel = 1e-30\ncauchy.c = 7.0\n",
+            "quadrature.n_theta",
+        ),
+        (POINCARE + 'field.kind = "radial"\n', "field.kind"),
+        (RADIAL_IDENTITIES + 'sweep.axis = "eps"\n', "sweep.axis"),
+        (RADIAL_STABILITY + "sweep.values = [0.01, 0.02]\n", "sweep.values"),
     ],
     ids=[
         "unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes",
         "eps-no-hole", "overdetermined-with-modes", "overdetermined-with-outer-radius",
         "radial-off-centre-hole", "radial-two-holes", "overdetermined-run-no-hole",
         "radial-with-modes", "hole-radius-beyond-outer-curve", "shapeflow-with-holes",
+        "shapeflow-unread-keys", "poincare-with-field-kind", "identities-with-sweep-axis",
+        "sweep-values-without-axis",
     ],
 )
 def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):
@@ -503,19 +530,60 @@ def test_sweep_eps_rejects_extra_holes(tmp_path, capsys):
 
 
 def test_sweep_point_equals_single_run(tmp_path):
-    # a sweep point is the single-run config with the swept field replaced
+    # a sweep point is the single-run config with the swept field replaced,
+    # and gets the single run's checks
     def rows(out):
         with open(out / "tables" / "instances.csv", newline="") as fh:
             return list(csv.DictReader(fh))
 
+    def checks(out):
+        return json.loads((out / "report.json").read_text())["assertions"]
+
     assert main(["sweep", write(tmp_path, "sweep.cfg", SWEEP_EPS), "--out", str(tmp_path / "s")]) == 0
-    single = SWEEP_EPS.replace('"cauchy-stability"', '"stability"') + "cauchy.eps = 0.02\n"
+    single = (
+        SWEEP_EPS.replace('"cauchy-stability"', '"stability"')
+        .replace('sweep.axis = "eps"\n', "")
+        .replace("sweep.values = [0.01, 0.02]\n", "")
+        + "cauchy.eps = 0.02\n"
+    )
     assert main(["run", write(tmp_path, "run.cfg", single), "--out", str(tmp_path / "r")]) == 0
     (point,) = [r for r in rows(tmp_path / "s") if r["value"] == "0.02"]
     (run,) = rows(tmp_path / "r")
     for key in ("axis", "value", "label"):
         del point[key], run[key]
     assert point == run
+    point_checks = [
+        {**a, "name": a["name"].removeprefix("eps=0.02:")}
+        for a in checks(tmp_path / "s")
+        if a["name"].startswith("eps=0.02:")
+    ]
+    assert len(point_checks) == 5
+    assert point_checks == checks(tmp_path / "r")
+
+
+def test_sweep_point_failure_names_point_and_check(tmp_path, monkeypatch, capsys):
+    # every sweep point gets the bracket check of a single run; a sweep used
+    # to assert only hypotheses, growth and Hopf per point
+    def outside(*args):
+        return dataclasses.replace(bound_table(*args), c_in_bracket=False)
+
+    bound_table = harness.bound_table
+    monkeypatch.setattr(harness, "bound_table", outside)
+    cfg = write(tmp_path, "sweep.cfg", SWEEP_EPS)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "first failure: eps=0.01:c_in_bracket: c=0.500000 in [" in capsys.readouterr().err
+
+
+def test_run_and_sweep_agree_on_a_declared_sweep(tmp_path):
+    # run used to ignore the sweep keys of a stability config and write one
+    # row labelled with the axis at value 0.0
+    cfg = write(tmp_path, "sweep.cfg", SWEEP_EPS.replace('"cauchy-stability"', '"stability"'))
+    assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert main(["sweep", cfg, "--out", str(tmp_path / "s")]) == 0
+    for table in ("instances.csv", "summary.csv"):
+        a = (tmp_path / "r" / "tables" / table).read_bytes()
+        assert a == (tmp_path / "s" / "tables" / table).read_bytes()
+    assert (tmp_path / "r" / "tables" / "instances.csv").read_text().count("\neps,") == 2
 
 
 def test_sweep_determinism_byte_identical(tmp_path):
