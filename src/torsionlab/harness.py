@@ -284,9 +284,10 @@ def validate_config(tree: dict) -> ScenarioConfig:
 
 def _check_combinations(cfg: ScenarioConfig, given: dict):
     """The rules that tie keys together.  Each key must be read by the
-    experiment; a sweep declares its axis and values, and the axis fixes the
-    field kind and the holes (there is no default hole); each field kind and
-    experiment then restricts the domain."""
+    experiment, and each cauchy key by the field kind; a sweep declares its
+    axis and values, and the axis fixes the field kind and the holes (there
+    is no default hole); each field kind and experiment then restricts the
+    domain."""
     for path in given:
         if cfg.experiment not in _readers(path):
             readers = ", ".join(_readers(path))
@@ -319,6 +320,20 @@ def _check_combinations(cfg: ScenarioConfig, given: dict):
         eps_rule = _KEYS["cauchy.eps"][1]
         for i, v in enumerate(cfg.sweep_values):
             eps_rule(f"sweep.values[{i}]", v)
+    # the cauchy keys are read by some field kinds only: c by the two that
+    # impose u_nu = c, k by the modes of a cauchy-literal eps sweep, and eps
+    # by an overdetermined instance unless a sweep sets it per point
+    kind = cfg.field_kind
+    for path, readers, read in (
+        ("cauchy.c", "overdetermined and cauchy-literal fields",
+         kind in ("overdetermined", "cauchy-literal")),
+        ("cauchy.k", "cauchy-literal eps sweeps", kind == "cauchy-literal" and axis == "eps"),
+        ("cauchy.eps", "overdetermined fields without a sweep",
+         kind == "overdetermined" and axis is None),
+    ):
+        if path in given and not read:
+            sweep = f" with sweep.axis={axis!r}" if axis else ""
+            raise ConfigError(path, f"not read by field.kind={kind!r}{sweep}, only by {readers}")
     if cfg.field_kind == "radial":
         if cfg.modes:
             raise ConfigError(

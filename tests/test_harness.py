@@ -23,6 +23,13 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def shipped(name):
+    return (CONFIGS / f"{name}.cfg").read_text()
+
+
 RADIAL_IDENTITIES = """
 experiment = "identities"
 seed = 0
@@ -50,6 +57,13 @@ quadrature.n_theta = 192
 quadrature.n_r = 32
 tolerances.growth_samples = 2000
 """
+
+# one point of SWEEP_EPS as a single stability run
+OVERDETERMINED_RUN = (
+    SWEEP_EPS.replace('"cauchy-stability"', '"stability"')
+    .replace('sweep.axis = "eps"\n', "")
+    .replace("sweep.values = [0.01, 0.02]\n", "")
+)
 
 SWEEP_RADIAL = """
 experiment = "cauchy-stability"
@@ -138,7 +152,7 @@ def test_unknown_key_exits_two(tmp_path, capsys, line):
 
 
 def test_cauchy_eps_is_a_known_key():
-    text = SWEEP_EPS.replace('"cauchy-stability"', '"stability"') + "cauchy.eps = 0.02\n"
+    text = OVERDETERMINED_RUN + "cauchy.eps = 0.02\n"
     tree = parse_config_text(text)
     assert validate_config(tree).cauchy_eps == 0.02
 
@@ -211,13 +225,15 @@ def test_bad_value_type_exits_two(tmp_path, capsys, line, path):
 @pytest.mark.parametrize("experiment", ["identities", "stability", "shapeflow", "poincare"])
 def test_every_key_accepts_its_default(experiment):
     # each rule accepts its field's default, so spelling out a default of a
-    # key the experiment reads changes nothing
+    # key the experiment reads changes nothing; the default field kind
+    # (dirichlet, no sweep) reads no cauchy key
     defaults = ScenarioConfig(experiment)
     lines = [f'experiment = "{experiment}"']
     for path, (name, _) in harness._KEYS.items():
-        if path != "experiment" and experiment in harness._readers(path):
+        read = experiment in harness._readers(path) and not path.startswith("cauchy.")
+        if path != "experiment" and read:
             lines.append(f"{path} = {json.dumps(getattr(defaults, name))}")
-    assert len(lines) == {"identities": 15, "stability": 18, "shapeflow": 6, "poincare": 11}[
+    assert len(lines) == {"identities": 12, "stability": 15, "shapeflow": 6, "poincare": 11}[
         experiment
     ]
     spelled = validate_config(parse_config_text("\n".join(lines)))
@@ -295,6 +311,17 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         (POINCARE + 'field.kind = "radial"\n', "field.kind"),
         (RADIAL_IDENTITIES + 'sweep.axis = "eps"\n', "sweep.axis"),
         (RADIAL_STABILITY + "sweep.values = [0.01, 0.02]\n", "sweep.values"),
+        # cauchy keys the field kind never reads used to be accepted and ignored
+        (shipped("stability_dirichlet") + "cauchy.c = 7.0\n", "cauchy.c"),
+        (shipped("sweep_overdetermined") + "cauchy.k = 5\n", "cauchy.k"),
+        (shipped("sweep_overdetermined") + "cauchy.eps = 0.3\n", "cauchy.eps"),
+        (
+            SWEEP_EPS.replace('"overdetermined"', '"cauchy-literal"').replace(
+                "sweep.values = [0.01, 0.02]", "sweep.values = [0.01, 0.02]\ncauchy.eps = 0.3"
+            ),
+            "cauchy.eps",
+        ),
+        (OVERDETERMINED_RUN + "cauchy.k = 5\n", "cauchy.k"),
     ],
     ids=[
         "unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes",
@@ -302,7 +329,9 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         "radial-off-centre-hole", "radial-two-holes", "overdetermined-run-no-hole",
         "radial-with-modes", "hole-radius-beyond-outer-curve", "shapeflow-with-holes",
         "shapeflow-unread-keys", "poincare-with-field-kind", "identities-with-sweep-axis",
-        "sweep-values-without-axis",
+        "sweep-values-without-axis", "dirichlet-with-cauchy-c",
+        "overdetermined-sweep-with-cauchy-k", "overdetermined-sweep-with-cauchy-eps",
+        "literal-sweep-with-cauchy-eps", "overdetermined-run-with-cauchy-k",
     ],
 )
 def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):
@@ -331,7 +360,7 @@ def test_missing_config_file():
 
 
 def test_shipped_configs_validate():
-    configs = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+    configs = sorted(CONFIGS.glob("*.cfg"))
     assert len(configs) >= 6
     for cfg in configs:
         assert main(["validate", str(cfg)]) == 0, cfg.name
@@ -540,12 +569,7 @@ def test_sweep_point_equals_single_run(tmp_path):
         return json.loads((out / "report.json").read_text())["assertions"]
 
     assert main(["sweep", write(tmp_path, "sweep.cfg", SWEEP_EPS), "--out", str(tmp_path / "s")]) == 0
-    single = (
-        SWEEP_EPS.replace('"cauchy-stability"', '"stability"')
-        .replace('sweep.axis = "eps"\n', "")
-        .replace("sweep.values = [0.01, 0.02]\n", "")
-        + "cauchy.eps = 0.02\n"
-    )
+    single = OVERDETERMINED_RUN + "cauchy.eps = 0.02\n"
     assert main(["run", write(tmp_path, "run.cfg", single), "--out", str(tmp_path / "r")]) == 0
     (point,) = [r for r in rows(tmp_path / "s") if r["value"] == "0.02"]
     (run,) = rows(tmp_path / "r")

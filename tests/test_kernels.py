@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,13 +63,61 @@ def test_requested_parts_equal_full_call_bitwise(rng):
     _assert_parts_equal_full_call(pts, src, coeffs)
 
 
+def _ring_sources(rng, m):
+    """m sources at random angles and radii in [1.5, 3], outside the points."""
+    theta = rng.uniform(0.0, 2.0 * np.pi, m)
+    return rng.uniform(1.5, 3.0, m)[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
 def test_requested_parts_equal_full_call_across_chunks():
-    # 4000 sources give 500-point chunks, so 1200 points span three of them
+    # 4000 sources give 8-row blocks, so 1200 points span 150 of them
     rng = np.random.default_rng(4000)
     pts = rng.uniform(-0.7, 0.7, size=(1200, 2))
-    theta = rng.uniform(0.0, 2.0 * np.pi, 4000)
-    src = rng.uniform(1.5, 3.0, 4000)[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    _assert_parts_equal_full_call(pts, src, rng.standard_normal(4000))
+    _assert_parts_equal_full_call(pts, _ring_sources(rng, 4000), rng.standard_normal(4000))
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        (1203, 97),  # 336-row blocks: three full blocks, then 195 rows (n % 4 = 3)
+        (11, 40_000),  # m > BLOCK_PAIRS: the 4-row floor, three blocks
+    ],
+)
+def test_blocking_leaves_every_part_bitwise_unchanged(monkeypatch, n, m):
+    # a split inside a 4-row group would send rows through dgemv's tail
+    # kernel and move u in the last bits
+    rng = np.random.default_rng(n + m)
+    pts = rng.uniform(-0.7, 0.7, size=(n, 2))
+    src = _ring_sources(rng, m)
+    coeffs = rng.standard_normal(m)
+    blocked = {want: _kernels.log_source_fields(pts, src, coeffs, want) for want in WANTS}
+    assert -(-n // _kernels.block_rows(m)) > 1
+    monkeypatch.setattr(_kernels, "BLOCK_PAIRS", 10**12)
+    assert _kernels.block_rows(m) >= n
+    for want in WANTS:
+        single = _kernels.log_source_fields(pts, src, coeffs, want)
+        for letter, part, ref in zip("ugh", blocked[want], single):
+            assert (part is None) == (ref is None) == (letter not in want), (want, letter)
+            if ref is not None:
+                assert np.array_equal(part, ref), (want, letter)
+
+
+@pytest.mark.parametrize("n, m, want", [(12_300, 96, "g"), (10_000, 192, "u")])
+def test_block_temporaries_stay_small(n, m, want):
+    # the shapeflow energy and stability_dirichlet calls; numpy reports its
+    # buffers to tracemalloc, and one 2,000,000-pair chunk peaked at 45-59 MB
+    rng = np.random.default_rng(m)
+    pts = rng.uniform(-0.7, 0.7, size=(n, 2))
+    src = _ring_sources(rng, m)
+    coeffs = rng.standard_normal(m)
+    tracemalloc.start()
+    try:
+        parts = _kernels.log_source_fields(pts, src, coeffs, want)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = sum(p.nbytes for p in parts if p is not None)
+    assert peak - outputs <= 4 * 2**20
 
 
 def test_empty_source_set():
