@@ -39,7 +39,6 @@ from .identities import (
     check_overdetermined,
     check_pohozaev,
     check_value_c,
-    compute_flux_constant,
     p_function,
 )
 from .shapeflow import energy, flow_to_constant_flux, shape_gradient
@@ -49,8 +48,7 @@ from .solver import (
     SolverConvergenceError,
     evaluate,
     overdetermined_instance,
-    radial_annulus_model,
-    radial_reference,
+    radial_model,
     solve_cauchy,
     solve_dirichlet,
 )
@@ -68,7 +66,6 @@ from .stability import (
     pseudo_distance,
     radii_gap_exponent,
     stability_report,
-    theorem_suite,
 )
 
 KERNEL_BACKEND = _kernels.BACKEND

@@ -727,7 +727,7 @@ def tubular_sets(
     return tube, inner
 
 
-def random_interior_points(spec: DomainSpec, n: int, rng, margin: float = 0.0):
+def random_interior_points(spec: DomainSpec, n: int, rng):
     """n points inside the region via polar rejection sampling (nonuniform density)."""
     out = np.empty((n, 2))
     got = 0
@@ -737,12 +737,7 @@ def random_interior_points(spec: DomainSpec, n: int, rng, margin: float = 0.0):
         s = np.sqrt(rng.uniform(0.0, 1.0, m))
         rho = s * spec.radius(theta) * (1.0 - 1e-9)
         pts = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
-        keep = spec.contains(pts)
-        if margin > 0:
-            d = np.zeros(pts.shape[0])
-            d[keep] = distance_to_boundary(spec, pts[keep])
-            keep &= d > margin
-        pts = pts[keep][: n - got]
+        pts = pts[spec.contains(pts)][: n - got]
         out[got : got + pts.shape[0]] = pts
         got += pts.shape[0]
     return out

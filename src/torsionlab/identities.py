@@ -187,7 +187,7 @@ def check_overdetermined(
 
     Also verifies the intermediate flux identity
     integral_Gamma u_nu = |Omega| - |omega| - integral_hole u_nu,
-    whose residual is stored in the breakdown under 'flux_identity'.
+    whose residual is stored in the extras under 'flux_identity_residual'.
     """
     bq = quads.bounds.gamma
     _, _, u_nu, _, _, _, _ = _boundary_fields(model, bq, "g")
@@ -234,35 +234,4 @@ def check_value_c(model: FieldModel, spec: DomainSpec, quads: Quadratures) -> Id
         breakdown[bq_h.component] = -float(np.sum(u_nu_h * bq_h.weights))
     return IdentityReport(
         identity="value_c", lhs=lhs, rhs=sum(breakdown.values()), breakdown=breakdown
-    )
-
-
-@dataclass(frozen=True)
-class FluxConstant:
-    """Two independent estimates of the overdetermined constant c."""
-
-    from_divergence: float  # (|Omega| - |omega| - hole flux) / |Gamma|
-    from_average: float  # mean of u_nu over the outer curve
-    mismatch: float
-    inconsistent: bool
-
-
-def compute_flux_constant(spec: DomainSpec, model: FieldModel, quads: Quadratures) -> FluxConstant:
-    """c from the outer-curve average of u_nu and from the divergence
-    identity; the two are inconsistent when they differ by more than 1e-5."""
-    bq = quads.bounds.gamma
-    _, _, u_nu, _, _, _, _ = _boundary_fields(model, bq, "g")
-    gamma_len = float(np.sum(bq.weights))
-    c_avg = float(np.sum(u_nu * bq.weights)) / gamma_len
-    flux_holes = 0.0
-    for bq_h in quads.bounds.holes:
-        _, _, u_nu_h, _, _, _, _ = _boundary_fields(model, bq_h, "g")
-        flux_holes += float(np.sum(u_nu_h * bq_h.weights))
-    c_div = (spec.region_area - flux_holes) / gamma_len
-    mismatch = abs(c_div - c_avg)
-    return FluxConstant(
-        from_divergence=c_div,
-        from_average=c_avg,
-        mismatch=mismatch,
-        inconsistent=mismatch > 1e-5,
     )

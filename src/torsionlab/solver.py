@@ -115,61 +115,25 @@ def normal_derivative(model: FieldModel, pts, normals):
     return np.sum(evaluate(model, np.atleast_2d(pts), "g")[1] * np.atleast_2d(normals), axis=1)
 
 
-@dataclass(frozen=True)
-class RadialTorsion:
-    """Exact ball solution u = (|x|^2 - R^2) / (2N); the oracle field.
+def radial_model(R: float, hole: Hole | None = None) -> FieldModel:
+    """The exact radial field with u = 0 on |x| = R, the oracle field.
 
-    Carries the closed forms u_nu = c = R/N on |x| = R for any integer N >= 2;
-    as_field_model() realizes it in the planar representation when N == 2.
+    Without a hole it is (|x|^2 - R^2) / 4, the disk's torsion function.  On
+    the annulus outside a centred hole it is u = |x|^2/4 + A log|x| + B with
+    u = g on the hole, realized exactly by a single source at the origin with
+    coefficient 2 pi A.
     """
-
-    R: float
-    N: int = 2
-
-    def __post_init__(self):
-        if self.R <= 0 or self.N < 2:
-            raise ValueError("radial reference needs R > 0 and integer N >= 2")
-
-    @property
-    def c(self) -> float:
-        return self.R / self.N
-
-    def u(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return (rho * rho - self.R * self.R) / (2.0 * self.N)
-
-    def du(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return rho / self.N
-
-    def hessian(self):
-        return np.eye(2) / self.N
-
-    def as_field_model(self) -> FieldModel:
-        if self.N != 2:
-            raise ValueError("planar field models exist only for N = 2")
-        return FieldModel(
-            anchor=np.zeros(2),
-            sources=np.zeros((0, 2)),
-            coeffs=np.zeros(0),
-            constant=-self.R * self.R / 4.0,
-        )
-
-
-def radial_reference(R: float, N: int = 2) -> RadialTorsion:
-    return RadialTorsion(R=R, N=N)
-
-
-def radial_annulus_model(R: float, hole_radius: float, g: float) -> FieldModel:
-    """Exact radial field on the annulus with u(R) = 0 and u(hole_radius) = g.
-
-    u = |x|^2/4 + A log|x| + B; realized exactly by a single source at the
-    origin with coefficient 2 pi A.
-    """
-    if not 0 < hole_radius < R:
-        raise ValueError("need 0 < hole_radius < R")
     B = -R * R / 4.0
-    A = (g - (hole_radius**2 - R**2) / 4.0) / math.log(hole_radius / R)
+    if hole is None:
+        return FieldModel(
+            anchor=np.zeros(2), sources=np.zeros((0, 2)), coeffs=np.zeros(0), constant=B
+        )
+    if tuple(hole.center) != (0.0, 0.0):
+        raise ValueError(f"radial fields need a hole centred at the origin, got {hole.center}")
+    if not 0 < hole.radius < R:
+        raise ValueError(f"need 0 < hole radius < R = {R}, got {hole.radius}")
+    rho, g = hole.radius, hole.dirichlet_value
+    A = (g - (rho**2 - R**2) / 4.0) / math.log(rho / R)
     return FieldModel(
         anchor=np.zeros(2),
         sources=np.zeros((1, 2)),

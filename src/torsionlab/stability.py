@@ -754,17 +754,6 @@ def stability_report(
     )
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    reports: tuple
-    fitted_constants: dict
-    excluded: tuple
-
-    @property
-    def all_hypotheses_pass(self) -> bool:
-        return not self.excluded
-
-
 def fit_constants(reports) -> tuple[dict, tuple]:
     """Single fitted constant per inequality: the max ratio over instances
     whose hypotheses all pass; failing instances are excluded and listed."""
@@ -778,13 +767,3 @@ def fit_constants(reports) -> tuple[dict, tuple]:
             if math.isfinite(val):
                 fitted[key] = max(fitted.get(key, 0.0), val)
     return fitted, tuple(excluded)
-
-
-def theorem_suite(instances) -> SuiteResult:
-    """Run the stability report over (label, spec, model, quads) instances and
-    fit the per-inequality constants across the sweep."""
-    reports = []
-    for label, spec, model, quads in instances:
-        reports.append(stability_report(spec, model, quads, label=label))
-    fitted, excluded = fit_constants(reports)
-    return SuiteResult(reports=tuple(reports), fitted_constants=fitted, excluded=excluded)

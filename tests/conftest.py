@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from torsionlab import _blas  # noqa: E402
 from torsionlab.geometry import DomainSpec, Hole, build_quadratures  # noqa: E402
-from torsionlab.solver import radial_reference  # noqa: E402
+from torsionlab.solver import radial_model  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -24,7 +24,7 @@ def annulus():
 
 @pytest.fixture(scope="session")
 def annulus_model():
-    return radial_reference(1.0).as_field_model()
+    return radial_model(1.0)
 
 
 @pytest.fixture(scope="session")

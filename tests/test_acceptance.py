@@ -9,10 +9,17 @@ is a strict xfail with the measured floor.  The criterion's assertions are
 then discharged on the exactly-overdetermined free-boundary family with the
 same hole and sweep values (solver.overdetermined_instance, which carries its
 own construction notes).
+
+Criteria 4 and 5 take their stability reports and fitted constants from
+report.json of the shipped sweep configs (configs/sweep_radial.cfg and
+configs/sweep_overdetermined.cfg) run through the CLI, so they check the code
+that `torsionlab sweep` runs.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +29,7 @@ from torsionlab.geometry import (
     Hole,
     build_boundary_quadrature,
     build_quadratures,
+    diameter,
     interior_sphere_radius,
     random_interior_points,
 )
@@ -30,6 +38,7 @@ from torsionlab.identities import (
     check_fundamental,
     check_overdetermined,
     check_pohozaev,
+    check_value_c,
 )
 from torsionlab.shapeflow import (
     energy,
@@ -42,8 +51,7 @@ from torsionlab.solver import (
     evaluate_u,
     normal_derivative,
     overdetermined_instance,
-    radial_annulus_model,
-    radial_reference,
+    radial_model,
     solve_cauchy,
     solve_dirichlet,
 )
@@ -52,9 +60,11 @@ from torsionlab.stability import (
     check_growth,
     check_hopf,
     check_oscillation_bound,
+    hole_c2_norm,
     random_harmonic_fields,
-    theorem_suite,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(criterion, passed, detail=""):
@@ -64,10 +74,16 @@ def report(criterion, passed, detail=""):
 
 
 def _radial_instance(rho):
-    g = (rho**2 - 1.0) / 4.0
-    spec = DomainSpec(1.0, holes=(Hole((0.0, 0.0), rho, g),))
-    model = radial_annulus_model(1.0, rho, g)
-    return spec, model
+    hole = Hole((0.0, 0.0), rho, (rho**2 - 1.0) / 4.0)
+    return DomainSpec(1.0, holes=(hole,)), radial_model(1.0, hole)
+
+
+def _shipped_sweep(tmp_path, name):
+    """The results block of report.json from the shipped sweep config name,
+    run through the CLI."""
+    out = tmp_path / name
+    main(["sweep", str(CONFIGS / f"{name}.cfg"), "--out", str(out)])
+    return json.loads((out / "report.json").read_text())["results"]
 
 
 @pytest.fixture(scope="module")
@@ -131,18 +147,16 @@ def test_criterion_3_generic_identity_convergence():
     report(3, ok, "; ".join(details))
 
 
-def test_criterion_4_ball_equality_case():
-    instances = []
-    for rho in (0.05, 0.1, 0.2):
-        spec, model = _radial_instance(rho)
-        instances.append((f"rho={rho:g}", spec, model, build_quadratures(spec, 256, 48)))
-    suite = theorem_suite(instances)
-    d2 = max(r.pseudo_distance for r in suite.reports)
-    asym = max(r.asymmetry for r in suite.reports)
-    gap = max(r.rho_e - r.rho_i for r in suite.reports)
+def test_criterion_4_ball_equality_case(tmp_path):
+    # configs/sweep_radial.cfg: centred annuli with hole radius 0.05, 0.1, 0.2
+    results = _shipped_sweep(tmp_path, "sweep_radial")
+    reports = [inst["stability"] for inst in results["instances"]]
+    d2 = max(r["pseudo_distance"] for r in reports)
+    asym = max(r["asymmetry"] for r in reports)
+    gap = max(r["rho_e"] - r["rho_i"] for r in reports)
     report(
         4,
-        suite.all_hypotheses_pass and d2 <= 1e-10 and asym <= 1e-6 and gap <= 1e-8,
+        not results["excluded"] and d2 <= 1e-10 and asym <= 1e-6 and gap <= 1e-8,
         f"D2={d2:.2e} (<=1e-10), A={asym:.2e} (<=1e-6), gap={gap:.2e} (<=1e-8)",
     )
 
@@ -169,9 +183,8 @@ def test_criterion_5_literal_cauchy_family():
     assert worst <= 1e-6
 
 
-def test_criterion_5_overdetermined_sweep(overdetermined_family):
+def test_criterion_5_overdetermined_sweep(overdetermined_family, tmp_path):
     t0 = time.perf_counter()
-    instances = []
     hypotheses_ok = True
     details = []
     for eps, inst, quads in overdetermined_family:
@@ -180,19 +193,20 @@ def test_criterion_5_overdetermined_sweep(overdetermined_family):
         u_hole = float(np.max(evaluate_u(inst.model, quads.bounds.holes[0].nodes)))
         hypotheses_ok &= dev <= 1e-6 and u_hole <= 1e-9
         details.append(f"eps={eps:g}: |u_nu-c|={dev:.1e}")
-        instances.append((f"eps={eps:g}", inst.spec, inst.model, quads))
-    suite = theorem_suite(instances)
-    fitted = suite.fitted_constants
+    # configs/sweep_overdetermined.cfg: the same hole and eps values
+    results = _shipped_sweep(tmp_path, "sweep_overdetermined")
+    fitted = results["fitted_constants"]
     single_c = True
-    for rep in suite.reports:
-        single_c &= rep.pseudo_distance <= fitted["pseudo_distance_over_perimeter"] * rep.holes_perimeter + 1e-15
-        single_c &= rep.asymmetry <= fitted["asymmetry_over_sqrt_perimeter"] * math.sqrt(rep.holes_perimeter) + 1e-15
-        single_c &= (rep.rho_e - rep.rho_i) <= fitted["radius_gap_over_perimeter_pow"] * rep.holes_perimeter ** 0.5 + 1e-15
-        single_c &= rep.tau_exponent == 1.0  # tau_2 = 1
+    for inst in results["instances"]:
+        rep = inst["stability"]
+        single_c &= rep["pseudo_distance"] <= fitted["pseudo_distance_over_perimeter"] * rep["holes_perimeter"] + 1e-15
+        single_c &= rep["asymmetry"] <= fitted["asymmetry_over_sqrt_perimeter"] * math.sqrt(rep["holes_perimeter"]) + 1e-15
+        single_c &= (rep["rho_e"] - rep["rho_i"]) <= fitted["radius_gap_over_perimeter_pow"] * rep["holes_perimeter"] ** 0.5 + 1e-15
+        single_c &= rep["tau_exponent"] == 1.0  # tau_2 = 1
     elapsed = time.perf_counter() - t0
     report(
         5,
-        hypotheses_ok and suite.all_hypotheses_pass and single_c and elapsed < 120.0,
+        hypotheses_ok and not results["excluded"] and single_c and elapsed < 120.0,
         "; ".join(details)
         + f"; C_hat(D2)={fitted['pseudo_distance_over_perimeter']:.2e}, tau_2=1, "
         f"runtime={elapsed:.1f}s (<120s) [exactly overdetermined free-boundary family]",
@@ -261,22 +275,18 @@ def test_criterion_8_flux_constant_bracket(overdetermined_family):
         spec, model = _radial_instance(rho)
         small_instances.append((f"radial-{rho:g}", spec, model))
     ball = DomainSpec(1.0)
-    small_instances.append(("ball", ball, radial_reference(1.0).as_field_model()))
+    small_instances.append(("ball", ball, radial_model(1.0)))
     for eps, inst, _ in overdetermined_family:
         small_instances.append((f"overdet-{eps:g}", inst.spec, inst.model))
     for label, spec, model in small_instances:
         quads = build_quadratures(spec, 256, 48)
-        from torsionlab.identities import compute_flux_constant
-        from torsionlab.geometry import diameter
-        from torsionlab.stability import hole_c2_norm
-
-        fc = compute_flux_constant(spec, model, quads)
+        c = check_value_c(model, spec, quads).lhs / quads.bounds.gamma.arc_length
         r_i = interior_sphere_radius(spec)
-        table = bound_table(spec, fc.from_average, hole_c2_norm(model, quads), r_i, diameter(spec))
+        table = bound_table(spec, c, hole_c2_norm(model, quads), r_i, diameter(spec))
         assert table.side_condition_small_perimeter, label
         checked += 1
         ok &= bool(table.c_in_bracket)
-        details.append(f"{label}: c={fc.from_average:.4f} in [{table['c_lower']:.4f}, {table['c_upper_small_hole']:.4f}]")
+        details.append(f"{label}: c={c:.4f} in [{table['c_lower']:.4f}, {table['c_upper_small_hole']:.4f}]")
     report(8, ok and checked >= 5, "; ".join(details))
 
 

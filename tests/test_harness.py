@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from torsionlab import _blas, harness
+from torsionlab.geometry import build_quadratures
 from torsionlab.harness import (
     ConfigError,
     ScenarioConfig,
@@ -322,6 +324,12 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
             "cauchy.eps",
         ),
         (OVERDETERMINED_RUN + "cauchy.k = 5\n", "cauchy.k"),
+        # each point of a cauchy-literal eps sweep replaces the modes
+        (
+            SWEEP_EPS.replace('"overdetermined"', '"cauchy-literal"')
+            + "domain.modes = [[5, 0.3]]\n",
+            "domain.modes",
+        ),
     ],
     ids=[
         "unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes",
@@ -332,6 +340,7 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         "sweep-values-without-axis", "dirichlet-with-cauchy-c",
         "overdetermined-sweep-with-cauchy-k", "overdetermined-sweep-with-cauchy-eps",
         "literal-sweep-with-cauchy-eps", "overdetermined-run-with-cauchy-k",
+        "literal-sweep-with-modes",
     ],
 )
 def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):
@@ -418,6 +427,37 @@ def test_run_radial_identities(tmp_path, capsys):
     assert report["environment"]["kernel_backend"] == "numpy"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        RADIAL_IDENTITIES,
+        RADIAL_IDENTITIES.replace("domain.holes = [[0.0, 0.0, 0.2, -0.24]]\n", ""),
+        """
+experiment = "identities"
+domain.modes = [[2, 0.05]]
+domain.holes = [[0.4, 0.0, 0.12, -0.05], [-0.35, 0.2, 0.1, -0.02]]
+field.kind = "dirichlet"
+quadrature.n_theta = 192
+quadrature.n_r = 32
+""",
+    ],
+    ids=["annulus", "disk", "dirichlet-two-holes"],
+)
+def test_run_identities_flux_constant_is_value_c_over_gamma(text):
+    # c and its divergence estimate are the two sides of the value_c
+    # identity divided by |Gamma|
+    cfg = validate_config(parse_config_text(text))
+    payload, _, assertions = harness.run_identities(cfg)
+    (row,) = [r for r in payload["identities"] if r["identity"] == "value_c"]
+    quads = build_quadratures(harness._build_spec(cfg), cfg.n_theta, cfg.n_r)
+    gamma_len = quads.bounds.gamma.arc_length
+    fc = payload["flux_constant"]
+    assert fc["from_average"] * gamma_len == pytest.approx(row["lhs"], rel=1e-15, abs=0)
+    assert fc["from_divergence"] * gamma_len == pytest.approx(row["rhs"], rel=1e-15, abs=0)
+    assert fc["mismatch"] == abs(fc["from_divergence"] - fc["from_average"])
+    assert all(a.passed for a in assertions)
+
+
 def test_run_rejects_invalid_domain(tmp_path, capsys):
     bad = RADIAL_IDENTITIES.replace("[[0.0, 0.0, 0.2, -0.24]]", "[[0.9, 0.0, 0.3, -0.1]]")
     bad = bad.replace('field.kind = "radial"', 'field.kind = "dirichlet"')
@@ -450,10 +490,11 @@ def test_run_report_serializes_field_model(tmp_path):
     model = report["results"]["field_model"]
     assert set(model) == {"anchor", "sources", "coefficients", "constant"}
     assert model["constant"] == -0.25
-    from torsionlab.solver import FieldModel, evaluate_u, radial_annulus_model
+    from torsionlab.geometry import Hole
+    from torsionlab.solver import FieldModel, evaluate_u, radial_model
 
     clone = FieldModel.from_dict(model)
-    oracle = radial_annulus_model(1.0, 0.2, -0.24)
+    oracle = radial_model(1.0, Hole((0.0, 0.0), 0.2, -0.24))
     pts = [(0.5, 0.0), (0.0, -0.7), (0.3, 0.3)]
     for pt in pts:
         assert abs(evaluate_u(clone, pt) - evaluate_u(oracle, pt)) <= 1e-12
@@ -529,6 +570,9 @@ def test_sweep_radial_family_zero_lhs(tmp_path):
         assert float(vals["pseudo_distance"]) <= 1e-10
         assert float(vals["asymmetry"]) <= 1e-6
         assert float(vals["rho_gap"]) <= 1e-8
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for key, val in report["results"]["fitted_constants"].items():
+        assert val <= 1e-5, key
 
 
 def test_sweep_eps_family_constants(tmp_path):
@@ -668,3 +712,17 @@ def test_report_numbers_are_finite(tmp_path):
             assert math.isfinite(node)
 
     walk(report["results"])
+
+
+def test_readme_key_table_matches_keys():
+    # the README's config-key table lists every key a config may set, in
+    # declaration order, and nothing else
+    lines = (CONFIGS.parent / "README.md").read_text().splitlines()
+    start = lines.index("| key | default | rule | read by |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line)
+    keys = [re.fullmatch(r"\| `([^`]+)` \|.*", row).group(1) for row in rows]
+    assert keys == list(harness._KEYS)

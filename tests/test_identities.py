@@ -11,13 +11,13 @@ from torsionlab.identities import (
     check_fundamental,
     check_overdetermined,
     check_pohozaev,
-    compute_flux_constant,
+    check_value_c,
     p_function,
 )
 from torsionlab.solver import (
     evaluate,
     overdetermined_instance,
-    radial_reference,
+    radial_model,
     solve_dirichlet,
 )
 
@@ -96,7 +96,7 @@ def test_deficit_self_convergence_oracle():
 def test_pohozaev_radial_annulus(rho):
     spec = DomainSpec(1.0, holes=(Hole((0.0, 0.0), rho, (rho**2 - 1) / 4.0),))
     quads = build_quadratures(spec, 256, 48)
-    model = radial_reference(1.0).as_field_model()
+    model = radial_model(1.0)
     rep = check_pohozaev(model, spec, quads)
     exact = (math.pi / 2.0) * (1.0 - rho**4)  # 4 * integral of |x|^2/4
     assert abs(rep.lhs - exact) <= 1e-12
@@ -105,14 +105,14 @@ def test_pohozaev_radial_annulus(rho):
 
 
 def test_pohozaev_ball(ball, ball_quads):
-    model = radial_reference(1.0).as_field_model()
+    model = radial_model(1.0)
     rep = check_pohozaev(model, ball, ball_quads)
     assert abs(rep.lhs - math.pi / 2.0) <= 1e-12
     assert rep.rel_residual <= 1e-8
 
 
 def test_fundamental_ball_both_sides_vanish(ball, ball_quads):
-    model = radial_reference(1.0).as_field_model()
+    model = radial_model(1.0)
     rep = check_fundamental(model, ball, ball_quads)
     assert abs(rep.lhs) <= 1e-9 and abs(rep.rhs) <= 1e-9
 
@@ -128,7 +128,7 @@ def test_fundamental_radial_hole_terms_vanish_pointwise(annulus, annulus_quads, 
 def test_overdetermined_radial_groups_vanish(rho):
     spec = DomainSpec(1.0, holes=(Hole((0.0, 0.0), rho, (rho**2 - 1) / 4.0),))
     quads = build_quadratures(spec, 256, 48)
-    model = radial_reference(1.0).as_field_model()
+    model = radial_model(1.0)
     rep = check_overdetermined(model, spec, 0.5, quads)
     for key, val in rep.breakdown.items():
         assert abs(val) <= 1e-9, key
@@ -218,34 +218,39 @@ def test_divergence_orientation_guard(annulus, annulus_quads):
 # ---------------------------------------------------------------------------
 
 
+def _flux_constants(model, spec, quads):
+    """c as the outer-curve average of u_nu and from the divergence side: the
+    two sides of the value_c identity over |Gamma|."""
+    rep = check_value_c(model, spec, quads)
+    gamma_len = quads.bounds.gamma.arc_length
+    return rep.lhs / gamma_len, rep.rhs / gamma_len
+
+
 def test_flux_constant_radial_annulus(annulus, annulus_quads, annulus_model):
-    fc = compute_flux_constant(annulus, annulus_model, annulus_quads)
+    from_average, from_divergence = _flux_constants(annulus_model, annulus, annulus_quads)
     # hole flux integral is -rho/2 * 2 pi rho = -0.04 pi; c = (0.96pi + 0.04pi)/2pi
-    assert abs(fc.from_divergence - 0.5) <= 1e-12
-    assert abs(fc.from_average - 0.5) <= 1e-12
-    assert not fc.inconsistent
+    assert abs(from_divergence - 0.5) <= 1e-12
+    assert abs(from_average - 0.5) <= 1e-12
 
 
 def test_flux_constant_ball_scaling():
     spec = DomainSpec(2.0)
     quads = build_quadratures(spec, 256, 48)
-    model = radial_reference(2.0).as_field_model()
-    fc = compute_flux_constant(spec, model, quads)
-    assert abs(fc.from_divergence - 1.0) <= 1e-12  # R/N = 2/2
+    model = radial_model(2.0)
+    _, from_divergence = _flux_constants(model, spec, quads)
+    assert abs(from_divergence - 1.0) <= 1e-12  # R/N = 2/2
 
 
 def test_flux_constant_flags_inconsistency(ball):
     # mismatching inputs (quadratures built for a different curve than the
-    # spec's closed-form areas) must trip the consistency flag
-    model = radial_reference(1.0).as_field_model()
+    # spec's closed-form areas) must trip the 1e-5 consistency rule
+    model = radial_model(1.0)
     wrong_quads = build_quadratures(DomainSpec(0.95), 128, 24)
-    fc = compute_flux_constant(ball, model, wrong_quads)
-    assert fc.inconsistent
+    from_average, from_divergence = _flux_constants(model, ball, wrong_quads)
+    assert abs(from_divergence - from_average) > 1e-5
 
 
 def test_value_c_identity(annulus, annulus_quads, annulus_model):
-    from torsionlab.identities import check_value_c
-
     rep = check_value_c(annulus_model, annulus, annulus_quads)
     # outer flux pi = 0.96 pi (areas) + 0.04 pi (hole flux, sign flipped)
     assert abs(rep.lhs - math.pi) <= 1e-12
@@ -254,8 +259,6 @@ def test_value_c_identity(annulus, annulus_quads, annulus_model):
 
 
 def test_value_c_identity_generic():
-    from torsionlab.identities import check_value_c
-
     spec = DomainSpec(1.0, ((3, 0.1),), (Hole((0.3, 0.1), 0.15, -0.05),))
     model, _ = solve_dirichlet(spec, 96, 1.8)
     quads = build_quadratures(spec, 192, 32)

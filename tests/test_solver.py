@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from torsionlab.geometry import DomainSpec, Hole, InvalidDomainError, random_interior_points
+from torsionlab.geometry import (
+    DomainSpec,
+    Hole,
+    InvalidDomainError,
+    distance_to_boundary,
+    random_interior_points,
+)
 from torsionlab.solver import (
     FieldModel,
     SolverConvergenceError,
@@ -12,8 +18,7 @@ from torsionlab.solver import (
     evaluate_u,
     normal_derivative,
     overdetermined_instance,
-    radial_annulus_model,
-    radial_reference,
+    radial_model,
     solve_cauchy,
     solve_dirichlet,
 )
@@ -26,27 +31,34 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
-def test_radial_reference_closed_forms():
-    ref = radial_reference(1.0, 2)
-    assert ref.c == 0.5
-    assert ref.u(0.0) == -0.25
-    assert np.allclose(ref.hessian(), np.eye(2) / 2.0)
-    # general N is evaluated arithmetically
-    assert radial_reference(1.0, 5).c == 0.2
-
-
 def test_radial_model_evaluation():
-    model = radial_reference(1.0).as_field_model()
+    model = radial_model(1.0)
     u, grad, hess = evaluate(model, (0.6, 0.0))
     assert abs(u - (-0.16)) <= 1e-14
     assert np.allclose(grad, [0.3, 0.0], atol=1e-14)
     assert np.allclose(hess, np.eye(2) / 2.0, atol=1e-14)
 
 
-def test_radial_annulus_model_matches_data():
-    m = radial_annulus_model(1.0, 0.2, -0.05)
+def test_radial_model_annulus_matches_data():
+    m = radial_model(1.0, Hole((0.0, 0.0), 0.2, -0.05))
     assert abs(evaluate_u(m, (1.0, 0.0))) <= 1e-14
     assert abs(evaluate_u(m, (0.0, 0.2)) - (-0.05)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "hole, match",
+    [
+        (Hole((0.1, 0.0), 0.2, -0.05), "centred"),
+        (Hole((0.0, -0.3), 0.2, -0.05), "centred"),
+        (Hole((0.0, 0.0), 1.0, 0.0), "hole radius"),
+        (Hole((0.0, 0.0), 1.5, 0.0), "hole radius"),
+    ],
+    ids=["off-centre-x", "off-centre-y", "radius-at-R", "radius-beyond-R"],
+)
+def test_radial_model_rejects_hole(hole, match):
+    # the closed form holds only on the centred annulus inside |x| = R
+    with pytest.raises(ValueError, match=match):
+        radial_model(1.0, hole)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +88,7 @@ def test_annulus_with_radial_datum(rng):
 def test_annulus_generic_datum_matches_closed_form(rng):
     spec = DomainSpec(1.0, holes=(Hole((0.0, 0.0), 0.2, -0.05),))
     model, _ = solve_dirichlet(spec, 96, 1.8)
-    oracle = radial_annulus_model(1.0, 0.2, -0.05)
+    oracle = radial_model(1.0, Hole((0.0, 0.0), 0.2, -0.05))
     pts = random_interior_points(spec, 500, rng)
     assert np.max(np.abs(evaluate_u(model, pts) - evaluate_u(oracle, pts))) <= 1e-8
 
@@ -130,7 +142,9 @@ def test_companion_harmonic_part(rng):
 def test_finite_difference_derivatives(rng):
     spec = DomainSpec(1.0, ((3, 0.05),))
     model, _ = solve_dirichlet(spec, 64, 1.8)
-    pts = random_interior_points(spec, 50, rng, margin=0.05)
+    pts = random_interior_points(spec, 100, rng)
+    pts = pts[distance_to_boundary(spec, pts) > 0.05][:50]
+    assert len(pts) == 50
     u, grad, hess = evaluate(model, pts)
     h = 1e-5
     for axis in range(2):

@@ -17,8 +17,7 @@ from torsionlab.geometry import (
 from torsionlab.solver import (
     evaluate_u,
     overdetermined_instance,
-    radial_annulus_model,
-    radial_reference,
+    radial_model,
     solve_dirichlet,
 )
 from torsionlab.stability import (
@@ -36,7 +35,6 @@ from torsionlab.stability import (
     radii_gap_exponent,
     random_harmonic_fields,
     stability_report,
-    theorem_suite,
     validate_poincare_triple,
 )
 
@@ -67,7 +65,7 @@ def test_center_radial_annulus(annulus, annulus_quads, annulus_model):
 
 
 def test_center_ball_is_barycenter(ball, ball_quads):
-    model = radial_reference(1.0).as_field_model()
+    model = radial_model(1.0)
     z, inside = adjusted_center(ball, model, ball_quads)
     assert inside and np.max(np.abs(z)) <= 1e-12
 
@@ -187,7 +185,7 @@ def test_growth_property_run(rng):
 
 
 def test_hopf_ball_saturates(ball, ball_quads):
-    model = radial_reference(1.0).as_field_model()
+    model = radial_model(1.0)
     r_i = interior_sphere_radius(ball)
     rep = check_hopf(model, ball_quads.bounds.gamma, r_i)
     assert rep.passed
@@ -421,48 +419,8 @@ def test_bound_table_entries_finite_positive(annulus):
 
 
 # ---------------------------------------------------------------------------
-# Theorem suite
+# Stability report
 # ---------------------------------------------------------------------------
-
-
-def _radial_instances(radii):
-    out = []
-    for rho in radii:
-        g = (rho**2 - 1.0) / 4.0
-        spec = DomainSpec(1.0, holes=(Hole((0.0, 0.0), rho, g),))
-        model = radial_annulus_model(1.0, rho, g)
-        quads = build_quadratures(spec, 256, 48)
-        out.append((f"rho={rho:g}", spec, model, quads))
-    return out
-
-
-def test_theorem_suite_radial_family_exact_zero():
-    suite = theorem_suite(_radial_instances((0.05, 0.1, 0.2)))
-    assert suite.all_hypotheses_pass
-    for rep in suite.reports:
-        assert rep.pseudo_distance <= 1e-10
-        assert rep.asymmetry <= 1e-6
-        assert rep.rho_e - rep.rho_i <= 1e-8
-    for key, val in suite.fitted_constants.items():
-        assert val <= 1e-5, key
-
-
-def test_theorem_suite_overdetermined_family():
-    instances = []
-    for eps in (0.005, 0.01, 0.02):
-        inst = overdetermined_instance(eps)
-        quads = build_quadratures(inst.spec, 256, 48)
-        instances.append((f"eps={eps:g}", inst.spec, inst.model, quads))
-    suite = theorem_suite(instances)
-    assert suite.all_hypotheses_pass
-    fitted = suite.fitted_constants
-    assert all(math.isfinite(v) for v in fitted.values())
-    # single fitted constant bounds every instance by construction; verify
-    for rep in suite.reports:
-        assert rep.pseudo_distance <= fitted["pseudo_distance_over_perimeter"] * rep.holes_perimeter + 1e-15
-        assert rep.asymmetry <= fitted["asymmetry_over_sqrt_perimeter"] * math.sqrt(rep.holes_perimeter) + 1e-15
-        assert rep.rho_e - rep.rho_i <= fitted["radius_gap_over_perimeter_pow"] * rep.holes_perimeter ** (rep.tau_exponent / 2.0) + 1e-15
-        assert rep.tau_exponent == 1.0  # planar sphere-condition exponent
 
 
 def test_stability_report_tubular_regime():
