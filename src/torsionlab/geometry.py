@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from ._kernels import BLOCK_PAIRS
 
 TWO_PI = 2.0 * math.pi
 
@@ -225,27 +228,94 @@ class DomainSpec:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self._inside_outer(pts) & ~self._in_any_hole_closed(pts)
 
-    def _distance_to_outer(self, pts):
-        """Distance from interior-ish points to the outer curve.
+    @cached_property
+    def _seeds(self):
+        """The 720 equispaced seed angles of ``_distance_to_outer``; the x and
+        y of their curve points and the seed indices, each tiled twice so any
+        run of cyclically consecutive seeds is one contiguous slice; and the
+        least and greatest seed radius."""
+        theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
+        bp = self.boundary_point(theta)
+        r = np.hypot(bp[:, 0], bp[:, 1])
+        index = np.arange(theta.size, dtype=np.int16)
+        return (
+            theta,
+            np.tile(bp[:, 0], 2),
+            np.tile(bp[:, 1], 2),
+            np.tile(index, 2),
+            float(np.min(r)),
+            float(np.max(r)),
+        )
 
-        Each point starts from its nearest of 720 equispaced curve samples
-        and is projected onto the curve by ``_project``.
+    def _seed_windows(self, x, y):
+        """(first, width): for each point the first seed index (mod 720) and
+        the number of cyclically consecutive seeds that hold its nearest seed.
+
+        The seed at the point's polar angle, at squared distance D^2, bounds
+        the nearest seed's distance by D.  A seed at angle phi + t and radius
+        r in [r_min, r_max] lies within D of p (rho = |p|, polar angle phi)
+        only if cos t >= (r^2 + rho^2 - D^2) / (2 r rho); the right side is
+        least at r_c = clip(sqrt(rho^2 - D^2), r_min, r_max), and its arccos
+        is the window's half-width w.  D^2 is widened by 16 eps (rho +
+        r_max)^2, more than the rounding of the squared distances and of the
+        cosine's numerator, which cancels near the origin; the window's ends
+        are rounded outward to whole seeds, which absorbs the error of the
+        angles.  So every seed whose computed squared distance can reach the
+        computed D^2 is inside.  Where the bound gives nothing (w >= pi, or p
+        at the origin) the window is all 720 seeds.
         """
+        seeds, sx, sy, _, r_min, r_max = self._seeds
+        step = TWO_PI / seeds.size
+        rho = np.hypot(x, y)
+        at = np.arctan2(y, x) / step  # polar angle in seed steps
+        near = np.rint(at).astype(np.intp) % seeds.size
+        d2 = (x - sx[near]) ** 2 + (y - sy[near]) ** 2
+        d2 += 16.0 * np.finfo(float).eps * (rho + r_max) ** 2
+        rc = np.clip(np.sqrt(np.maximum(rho * rho - d2, 0.0)), r_min, r_max)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cos_w = (rc * rc + rho * rho - d2) / (2.0 * rc * rho)
+        half = np.arccos(np.where(cos_w > -1.0, np.minimum(cos_w, 1.0), -1.0)) / step
+        first = np.floor(at - half).astype(np.intp)
+        width = np.minimum(np.ceil(at + half).astype(np.intp) + 1 - first, seeds.size)
+        return first % seeds.size, width
+
+    def _distance_to_outer(self, pts):
+        """Distance from points to the outer curve: each point starts from its
+        nearest seed (``_nearest_seed``) and is projected onto the curve by
+        ``_project``."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n_seed = 720
-        seeds = np.linspace(0.0, TWO_PI, n_seed, endpoint=False)
-        bp = self.boundary_point(seeds)  # (s, 2)
-        # nearest seed per point, in row blocks of ~64k point-seed pairs
-        n = pts.shape[0]
-        theta = np.empty(n)
-        chunk = max(1, 65536 // n_seed)
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            d2 = (pts[lo:hi, 0, None] - bp[None, :, 0]) ** 2 + (
-                pts[lo:hi, 1, None] - bp[None, :, 1]
-            ) ** 2
-            theta[lo:hi] = seeds[np.argmin(d2, axis=1)]
+        theta = self._seeds[0][self._nearest_seed(pts)]
         return np.hypot(*(pts - self.boundary_point(self._project(pts, theta))).T)
+
+    def _nearest_seed(self, pts):
+        """Index of each point's nearest of the 720 seeds, the lowest index
+        winning an exact tie: bitwise the argmin of a scan over every seed.
+
+        Only the seeds in the point's window (``_seed_windows``) are
+        compared, with the scan's squared-distance expression.  Windows go
+        through widest first, in row blocks of about BLOCK_PAIRS point-seed
+        pairs.
+        """
+        seeds, sx, sy, index, _, _ = self._seeds
+        x, y = pts[:, 0], pts[:, 1]
+        first, width = self._seed_windows(x, y)
+        order = np.argsort(-width, kind="stable")  # a block reads its first row's width
+        nearest = np.empty(pts.shape[0], dtype=np.intp)
+        done = 0
+        while done < order.size:
+            k = int(width[order[done]])
+            rows = order[done : done + max(1, BLOCK_PAIRS // k)]
+            done += rows.size
+            start = first[rows]
+            d2 = (x[rows, None] - sliding_window_view(sx, k)[start]) ** 2 + (
+                y[rows, None] - sliding_window_view(sy, k)[start]
+            ) ** 2
+            # the lowest index among the minima, not the first in the window:
+            # a window across seed 0 lists 719 before 0
+            tied = d2 == np.min(d2, axis=1, keepdims=True)
+            ids = np.where(tied, sliding_window_view(index, k)[start], seeds.size)
+            nearest[rows] = np.min(ids, axis=1)
+        return nearest
 
     def _project(self, pts, theta):
         """Foot-point angles on the outer curve: Newton steps on the
@@ -494,17 +564,20 @@ def build_quadratures(spec: DomainSpec, n_theta: int = 256, n_r: int = 48) -> Qu
 # ---------------------------------------------------------------------------
 
 
-def distance_to_boundary(spec: DomainSpec, pts):
+def distance_to_boundary(spec: DomainSpec, pts, *, checked=False):
     """delta(x): distance to the union of all boundary components.
 
-    Raises ExteriorPointError when any query point is outside the open region.
+    Raises ExteriorPointError when any query point is outside the open
+    region; ``checked=True`` says the caller has already tested every point
+    with ``spec.contains`` and skips that test.
     """
     single = np.asarray(pts, dtype=float).ndim == 1
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    inside = spec.contains(pts)
-    if not np.all(inside):
-        bad = pts[~inside][0]
-        raise ExteriorPointError(f"point {tuple(bad)} is outside the region")
+    if not checked:
+        inside = spec.contains(pts)
+        if not np.all(inside):
+            bad = pts[~inside][0]
+            raise ExteriorPointError(f"point {tuple(bad)} is outside the region")
     d = spec._distance_to_outer(pts)
     for hole in spec.holes:
         dh = np.hypot(pts[:, 0] - hole.center[0], pts[:, 1] - hole.center[1]) - hole.radius
@@ -550,9 +623,8 @@ def interior_sphere_radius(spec: DomainSpec, d_omega: float | None = None) -> fl
         ok = spec.contains(centers)
         out = np.zeros_like(ok)
         if np.any(ok):
-            d = np.empty(centers.shape[0])
-            d[ok] = distance_to_boundary(spec, centers[ok])
-            out[ok] = d[ok] >= r[ok] - 1e-9
+            d = distance_to_boundary(spec, centers[ok], checked=True)
+            out[ok] = d >= r[ok] - 1e-9
         return out
 
     lo = np.full(probes.shape[0], resolution)

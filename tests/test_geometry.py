@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from torsionlab.geometry import (
     enclosing_inscribed_radii,
     interior_sphere_radius,
     intersection_area_with_disk,
+    random_interior_points,
     symmetric_difference_ratio,
     tubular_sets,
 )
+from torsionlab.solver import overdetermined_instance
 
 TWO_PI = 2.0 * math.pi
 
@@ -222,6 +225,118 @@ def test_delta_lipschitz_along_segments(ax, ay, bx, by):
     assert abs(da - db) <= math.dist((ax, ay), (bx, by)) + 1e-9
 
 
+SEEDS = np.linspace(0.0, TWO_PI, 720, endpoint=False)
+
+
+def _scan_distance(spec, pts):
+    """The distance oracle: the nearest of all 720 seeds (np.argmin, so the
+    lowest index on an exact tie), projected by spec._project."""
+    bp = spec.boundary_point(SEEDS)
+    d2 = (pts[:, 0, None] - bp[None, :, 0]) ** 2 + (pts[:, 1, None] - bp[None, :, 1]) ** 2
+    nearest = np.argmin(d2, axis=1)
+    theta = spec._project(pts, SEEDS[nearest])
+    return nearest, np.hypot(*(pts - spec.boundary_point(theta)).T)
+
+
+def _assert_distance_is_scan(spec, pts):
+    nearest, want = _scan_distance(spec, pts)
+    first, width = spec._seed_windows(pts[:, 0], pts[:, 1])
+    assert np.all((nearest - first) % SEEDS.size < width)
+    assert np.array_equal(spec._distance_to_outer(pts), want)
+
+
+def _pinned_points(spec):
+    """Seeds themselves, points within 1e-13 of the curve on both sides,
+    centres of curvature, the origin, and points within 1e-7 of it, where
+    many seeds are within rounding of equally near."""
+    theta = np.concatenate([SEEDS[::7], np.linspace(0.001, TWO_PI, 61)])
+    on = spec.boundary_point(theta)
+    normal = spec.boundary_normal(theta)
+    kappa = spec.boundary_curvature(theta)
+    centres = (on - normal / kappa[:, None])[kappa > 0.2]
+    unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    near_origin = [rho * unit for rho in (1e-15, 1e-13, 1e-11, 1e-9, 1e-7)]
+    return np.concatenate(
+        [on, on - 1e-13 * normal, on + 1e-13 * normal, centres, np.zeros((1, 2)), *near_origin]
+    )
+
+
+@hst.composite
+def admissible_domains(draw):
+    """Up to 14 modes scaled to sum |eps_k| k^2 < 0.95, and maybe a hole in
+    the disk of radius R (1 - sum |eps_k|) that the curve encloses."""
+    n = draw(hst.integers(0, 14))
+    ks = draw(hst.lists(hst.integers(1, 20), min_size=n, max_size=n, unique=True))
+    amps = draw(hst.lists(hst.floats(-1.0, 1.0), min_size=n, max_size=n))
+    bend = sum(abs(a) * k * k for k, a in zip(ks, amps))
+    scale = draw(hst.floats(0.01, 0.95)) / bend if bend > 1e-6 else 0.0
+    modes = tuple((k, a * scale) for k, a in zip(ks, amps) if a * scale != 0.0)
+    outer = draw(hst.floats(0.5, 2.0))
+    inner = outer * (1.0 - sum(abs(e) for _, e in modes))
+    holes = ()
+    if draw(hst.booleans()):
+        phi, at = draw(hst.floats(0.0, TWO_PI)), draw(hst.floats(0.0, 0.4)) * inner
+        radius = draw(hst.floats(0.05, 0.2)) * inner
+        holes = (Hole((at * math.cos(phi), at * math.sin(phi)), radius),)
+    return DomainSpec(outer, modes, holes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=admissible_domains(), seed=hst.integers(0, 2**32 - 1))
+def test_distance_to_outer_equals_full_seed_scan(spec, seed):
+    # the windowed search returns the scan's seed, so the projection and the
+    # distance are bitwise the scan's, inside and outside the curve
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, TWO_PI, 300)
+    rho = rng.uniform(0.0, 1.3, 300) * spec.radius(theta)
+    scattered = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
+    _assert_distance_is_scan(spec, np.concatenate([scattered, _pinned_points(spec)]))
+
+
+@pytest.mark.parametrize("modes", [(), ((2, 0.1),), ((3, 0.1),), ((4, 0.05),), ((6, 0.02),)])
+def test_distance_to_outer_breaks_exact_ties_like_the_scan(modes):
+    # cosine curves are symmetric about the x-axis, and many mirrored seed
+    # pairs are exact mirrors in floating point, so points on the axis (and
+    # the origin) sit at exactly equal squared distance from two or more
+    # seeds; pairs about index 0 straddle the window's wrap
+    spec = DomainSpec(1.0, modes)
+    t = np.linspace(-0.99, 0.99, 199)
+    pts = np.concatenate([np.stack([t, np.zeros_like(t)], axis=-1), _pinned_points(spec)])
+    bp = spec.boundary_point(SEEDS)
+    d2 = (pts[:, 0, None] - bp[None, :, 0]) ** 2 + (pts[:, 1, None] - bp[None, :, 1]) ** 2
+    assert np.any(np.sum(d2 == np.min(d2, axis=1, keepdims=True), axis=1) > 1)
+    _assert_distance_is_scan(spec, pts)
+
+
+@pytest.fixture(scope="module")
+def free_boundary_spec():
+    """The 14-mode outer curve of an exactly overdetermined instance."""
+    spec = overdetermined_instance(0.02).spec
+    assert len(spec.fourier_modes) == 14
+    return spec
+
+
+def test_distance_to_outer_equals_scan_on_free_boundary_curve(free_boundary_spec):
+    spec = free_boundary_spec
+    pts = random_interior_points(spec, 2000, np.random.default_rng(7))
+    _assert_distance_is_scan(spec, np.concatenate([pts, _pinned_points(spec)]))
+
+
+def test_distance_to_outer_temporaries_stay_small(free_boundary_spec):
+    # growth checks ask for 10,000 interior points at once; the search and
+    # the projection work in bounded blocks
+    spec = free_boundary_spec
+    pts = random_interior_points(spec, 10_000, np.random.default_rng(2))
+    spec._distance_to_outer(pts[:1])  # the seed table is built once per spec
+    tracemalloc.start()
+    try:
+        d = spec._distance_to_outer(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - d.nbytes <= 4 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Interior sphere radius, diameter, radii about a point
 # ---------------------------------------------------------------------------
@@ -233,6 +348,22 @@ def test_interior_sphere_annulus(annulus):
 
 def test_interior_sphere_ball(ball):
     assert abs(interior_sphere_radius(ball) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        # the centred annuli of configs/sweep_radial.cfg
+        (DomainSpec(1.0, holes=(Hole((0.0, 0.0), 0.05),)), "0.4749993553714752"),
+        (DomainSpec(1.0, holes=(Hole((0.0, 0.0), 0.1),)), "0.44999974309110646"),
+        # the domain of configs/stability_dirichlet.cfg
+        (DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),)), "0.3325340313713551"),
+    ],
+)
+def test_interior_sphere_radius_pinned_on_shipped_domains(spec, expected):
+    # float reprs, not a tolerance: a flipped bisection decision at the
+    # probe that sets the minimum moves digits far below the 1e-6 resolution
+    assert repr(interior_sphere_radius(spec)) == expected
 
 
 def test_interior_sphere_offcenter_hole():
