@@ -564,20 +564,17 @@ def build_quadratures(spec: DomainSpec, n_theta: int = 256, n_r: int = 48) -> Qu
 # ---------------------------------------------------------------------------
 
 
-def distance_to_boundary(spec: DomainSpec, pts, *, checked=False):
+def distance_to_boundary(spec: DomainSpec, pts):
     """delta(x): distance to the union of all boundary components.
 
-    Raises ExteriorPointError when any query point is outside the open
-    region; ``checked=True`` says the caller has already tested every point
-    with ``spec.contains`` and skips that test.
+    Raises ExteriorPointError when any query point is outside the open region.
     """
     single = np.asarray(pts, dtype=float).ndim == 1
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if not checked:
-        inside = spec.contains(pts)
-        if not np.all(inside):
-            bad = pts[~inside][0]
-            raise ExteriorPointError(f"point {tuple(bad)} is outside the region")
+    inside = spec.contains(pts)
+    if not np.all(inside):
+        bad = pts[~inside][0]
+        raise ExteriorPointError(f"point {tuple(bad)} is outside the region")
     d = spec._distance_to_outer(pts)
     for hole in spec.holes:
         dh = np.hypot(pts[:, 0] - hole.center[0], pts[:, 1] - hole.center[1]) - hole.radius
@@ -623,7 +620,7 @@ def interior_sphere_radius(spec: DomainSpec, d_omega: float | None = None) -> fl
         ok = spec.contains(centers)
         out = np.zeros_like(ok)
         if np.any(ok):
-            d = distance_to_boundary(spec, centers[ok], checked=True)
+            d = distance_to_boundary(spec, centers[ok])
             out[ok] = d >= r[ok] - 1e-9
         return out
 

@@ -228,12 +228,17 @@ def test_delta_lipschitz_along_segments(ax, ay, bx, by):
 SEEDS = np.linspace(0.0, TWO_PI, 720, endpoint=False)
 
 
-def _scan_distance(spec, pts):
-    """The distance oracle: the nearest of all 720 seeds (np.argmin, so the
-    lowest index on an exact tie), projected by spec._project."""
+def _scan_seed(spec, pts):
+    """The seed oracle: the nearest of all 720 seeds (np.argmin, so the
+    lowest index on an exact tie)."""
     bp = spec.boundary_point(SEEDS)
     d2 = (pts[:, 0, None] - bp[None, :, 0]) ** 2 + (pts[:, 1, None] - bp[None, :, 1]) ** 2
-    nearest = np.argmin(d2, axis=1)
+    return np.argmin(d2, axis=1)
+
+
+def _scan_distance(spec, pts):
+    """The distance oracle: the scan's seed projected by spec._project."""
+    nearest = _scan_seed(spec, pts)
     theta = spec._project(pts, SEEDS[nearest])
     return nearest, np.hypot(*(pts - spec.boundary_point(theta)).T)
 
@@ -360,10 +365,15 @@ def test_interior_sphere_ball(ball):
         (DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),)), "0.3325340313713551"),
     ],
 )
-def test_interior_sphere_radius_pinned_on_shipped_domains(spec, expected):
-    # float reprs, not a tolerance: a flipped bisection decision at the
-    # probe that sets the minimum moves digits far below the 1e-6 resolution
-    assert repr(interior_sphere_radius(spec)) == expected
+def test_interior_sphere_radius_pinned_on_shipped_domains(spec, expected, monkeypatch):
+    # exact, not a tolerance: a flipped bisection decision at the probe that
+    # sets the minimum moves digits far below the 1e-6 resolution
+    got = interior_sphere_radius(spec)
+    monkeypatch.setattr(DomainSpec, "_nearest_seed", _scan_seed)
+    assert interior_sphere_radius(spec) == got
+    # the last bits follow the platform's cos/arctan2/hypot; these reprs are
+    # those of numpy 2.4 on x86-64 glibc 2.36
+    assert repr(got) == expected
 
 
 def test_interior_sphere_offcenter_hole():
