@@ -593,6 +593,18 @@ def interior_sphere_radius(spec: DomainSpec, d_omega: float | None = None) -> fl
     probes, so this is an estimate, not a proven lower bound.  ``d_omega``
     is the diameter when the caller already has it (it caps the search on
     hole boundaries).
+
+    Only the least ``lo`` is returned, so a probe stops being tested once
+    its ``lo`` reaches the bound B = min ``hi`` over the probes still tested
+    and those settled at their cap: its final ``lo`` cannot fall below B,
+    and the least final ``lo`` cannot exceed B (B only falls, since the
+    probe that sets it has ``lo < hi`` and stays tested).  A dropped probe
+    takes ``hi = mid`` untested, so its interval halves each pass as a
+    tested one's does, and the search stops after the passes of one that
+    tests every probe, unless a width lands within rounding (about 1e-16)
+    of the resolution.  The result is that search's float.  The opening
+    test at the resolution and the test at the caps still cover every
+    probe.
     """
     resolution, n_probe = 1e-6, 512
     probes, normals, caps = [], [], []
@@ -615,49 +627,74 @@ def interior_sphere_radius(spec: DomainSpec, d_omega: float | None = None) -> fl
     normals = np.concatenate(normals)
     caps = np.concatenate(caps)
 
-    def feasible(r):
-        centers = probes - r[:, None] * normals
+    def feasible(r, at):
+        centers = (probes - r[:, None] * normals).compress(at, axis=0)
         ok = spec.contains(centers)
         out = np.zeros_like(ok)
         if np.any(ok):
             d = distance_to_boundary(spec, centers[ok])
-            out[ok] = d >= r[ok] - 1e-9
+            out[ok] = d >= r[at][ok] - 1e-9
         return out
 
+    every = np.ones(probes.shape[0], dtype=bool)
     lo = np.full(probes.shape[0], resolution)
-    if not np.all(feasible(lo)):
+    if not np.all(feasible(lo, every)):
         raise InvalidDomainError("no uniform interior sphere at resolution")
     hi = caps.copy()
-    top = feasible(hi)
+    top = feasible(hi, every)
     lo[top] = hi[top]
+    tested = ~top
     while np.max(hi - lo) > resolution:
+        tested &= lo < np.min(hi, where=tested | top, initial=np.inf)
         mid = 0.5 * (lo + hi)
-        ok = feasible(mid)
+        ok = np.zeros_like(top)
+        ok[tested] = feasible(mid, tested)
         lo[ok] = mid[ok]
         hi[~ok] = mid[~ok]
     return float(np.min(lo))
 
 
 def diameter(spec: DomainSpec) -> float:
-    """sup |x - y| over the closed outer region; attained on the outer curve."""
+    """sup |x - y| over the closed outer region; attained on the outer curve.
+
+    The curve is sampled at n = 128, 256, ... points until the greatest
+    sampled distance moves by less than 1e-9, or n reaches 8192.  Samples
+    go in blocks of 64, and a pair of blocks is evaluated only if its
+    bounding-box bound U on the squared distance reaches that of the
+    farthest pair at the previous n, which the grid at 2n contains bit for
+    bit.  U needs no rounding margin: it is computed from the boxes'
+    extents by the same subtractions, squares and sum that give a pair's
+    squared distance from its coordinates, and rounding is monotone, so no
+    computed pair value exceeds its blocks' computed U.  So every pair that
+    can hold the maximum is evaluated, and the result is the float of the
+    max over all pairs.
+    """
     prev = -1.0
     n = 128
+    far = (0, 0)  # the farthest pair of indices on the current grid
     while True:
         theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        pts = spec.boundary_point(theta)
-        d2 = 0.0
-        # pair distances are symmetric bit for bit: scan the upper triangle
-        for lo in range(0, n, 64):
-            hi = min(n, lo + 64)
-            block = (pts[lo:hi, 0, None] - pts[None, lo:, 0]) ** 2 + (
-                pts[lo:hi, 1, None] - pts[None, lo:, 1]
-            ) ** 2
-            d2 = max(d2, float(np.max(block)))
+        x, y = spec.boundary_point(theta).T
+        d2 = (x[far[0]] - x[far[1]]) ** 2 + (y[far[0]] - y[far[1]]) ** 2
+        bx, by = x.reshape(-1, 64), y.reshape(-1, 64)
+        # how far the x of block I can exceed that of block J, and the same for y
+        dx = bx.max(axis=1)[:, None] - bx.min(axis=1)[None, :]
+        dy = by.max(axis=1)[:, None] - by.min(axis=1)[None, :]
+        bound = np.maximum(dx, dx.T) ** 2 + np.maximum(dy, dy.T) ** 2
+        # pair distances are symmetric bit for bit: the upper triangle suffices
+        upper = np.arange(bound.shape[0])[:, None] <= np.arange(bound.shape[0])
+        for i, j in zip(*np.nonzero(upper & (bound >= d2))):
+            block = (bx[i, :, None] - bx[None, j]) ** 2 + (by[i, :, None] - by[None, j]) ** 2
+            at = int(np.argmax(block))
+            if block.flat[at] > d2:
+                d2 = float(block.flat[at])
+                far = (64 * i + at // 64, 64 * j + at % 64)
         d = math.sqrt(d2)
         if abs(d - prev) < 1e-9 or n >= 8192:
             return d
         prev = d
         n *= 2
+        far = (2 * far[0], 2 * far[1])
 
 
 def enclosing_inscribed_radii(spec: DomainSpec, z) -> tuple[float, float]:

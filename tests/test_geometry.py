@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from torsionlab import geometry
 from torsionlab.geometry import (
     DomainSpec,
     ExteriorPointError,
@@ -268,8 +269,9 @@ def _pinned_points(spec):
 
 @hst.composite
 def admissible_domains(draw):
-    """Up to 14 modes scaled to sum |eps_k| k^2 < 0.95, and maybe a hole in
-    the disk of radius R (1 - sum |eps_k|) that the curve encloses."""
+    """Up to 14 modes scaled to sum |eps_k| k^2 < 0.95, and up to 3 pairwise
+    disjoint holes in the disk of radius R (1 - sum |eps_k|) that the curve
+    encloses."""
     n = draw(hst.integers(0, 14))
     ks = draw(hst.lists(hst.integers(1, 20), min_size=n, max_size=n, unique=True))
     amps = draw(hst.lists(hst.floats(-1.0, 1.0), min_size=n, max_size=n))
@@ -278,12 +280,15 @@ def admissible_domains(draw):
     modes = tuple((k, a * scale) for k, a in zip(ks, amps) if a * scale != 0.0)
     outer = draw(hst.floats(0.5, 2.0))
     inner = outer * (1.0 - sum(abs(e) for _, e in modes))
-    holes = ()
-    if draw(hst.booleans()):
-        phi, at = draw(hst.floats(0.0, TWO_PI)), draw(hst.floats(0.0, 0.4)) * inner
+    holes = []
+    for _ in range(draw(hst.integers(0, 3))):
+        phi, at = draw(hst.floats(0.0, TWO_PI)), draw(hst.floats(0.0, 0.7)) * inner
         radius = draw(hst.floats(0.05, 0.2)) * inner
-        holes = (Hole((at * math.cos(phi), at * math.sin(phi)), radius),)
-    return DomainSpec(outer, modes, holes)
+        holes.append(Hole((at * math.cos(phi), at * math.sin(phi)), radius))
+    try:
+        return DomainSpec(outer, modes, tuple(holes))
+    except InvalidDomainError:  # two holes overlap
+        assume(False)
 
 
 @settings(max_examples=40, deadline=None)
@@ -363,12 +368,19 @@ def test_interior_sphere_ball(ball):
         (DomainSpec(1.0, holes=(Hole((0.0, 0.0), 0.1),)), "0.44999974309110646"),
         # the domain of configs/stability_dirichlet.cfg
         (DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),)), "0.3325340313713551"),
+        # the annulus of configs/poincare.cfg
+        (DomainSpec(1.0, holes=(Hole((0.0, 0.0), 0.2),)), "0.3999995648562909"),
+        # the eps = 0.02 instance of configs/sweep_overdetermined.cfg
+        ("free_boundary_spec", "0.4319038545381989"),
     ],
 )
-def test_interior_sphere_radius_pinned_on_shipped_domains(spec, expected, monkeypatch):
+def test_interior_sphere_radius_pinned_on_shipped_domains(spec, expected, request, monkeypatch):
     # exact, not a tolerance: a flipped bisection decision at the probe that
     # sets the minimum moves digits far below the 1e-6 resolution
+    if isinstance(spec, str):
+        spec = request.getfixturevalue(spec)
     got = interior_sphere_radius(spec)
+    assert _full_bisection_radius(spec) == got
     monkeypatch.setattr(DomainSpec, "_nearest_seed", _scan_seed)
     assert interior_sphere_radius(spec) == got
     # the last bits follow the platform's cos/arctan2/hypot; these reprs are
@@ -385,8 +397,83 @@ def test_interior_sphere_unresolvable_pinch():
     # a valid domain (positive clearance) whose narrowest gap is below the
     # search resolution signals instead of returning a junk radius
     pinch = DomainSpec(1.0, holes=(Hole((0.8 - 5e-7, 0.0), 0.2, -0.1),))
-    with pytest.raises(InvalidDomainError, match="no uniform interior sphere"):
-        interior_sphere_radius(pinch)
+    for radius in (interior_sphere_radius, _full_bisection_radius):
+        with pytest.raises(InvalidDomainError, match="no uniform interior sphere"):
+            radius(pinch)
+
+
+def _full_bisection_radius(spec, d_omega=None):
+    """interior_sphere_radius's bisection with every probe tested on every
+    pass."""
+    resolution, n_probe = 1e-6, 512
+    probes, normals, caps = [], [], []
+    theta = np.linspace(0.0, TWO_PI, n_probe, endpoint=False)
+    probes.append(spec.boundary_point(theta))
+    normals.append(spec.boundary_normal(theta))
+    caps.append(np.full(n_probe, 1.0 / max(spec.max_curvature(), 1e-12)))
+    th = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+    unit = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    if spec.holes and d_omega is None:
+        d_omega = diameter(spec)
+    for hole in spec.holes:
+        probes.append(hole.boundary_points(th))
+        normals.append(-unit)
+        caps.append(np.full(th.size, 2.0 * d_omega))
+    probes, normals, caps = map(np.concatenate, (probes, normals, caps))
+
+    def feasible(r):
+        centers = probes - r[:, None] * normals
+        ok = spec.contains(centers)
+        out = np.zeros_like(ok)
+        if np.any(ok):
+            out[ok] = geometry.distance_to_boundary(spec, centers[ok]) >= r[ok] - 1e-9
+        return out
+
+    lo = np.full(probes.shape[0], resolution)
+    if not np.all(feasible(lo)):
+        raise InvalidDomainError("no uniform interior sphere at resolution")
+    hi = caps.copy()
+    top = feasible(hi)
+    lo[top] = hi[top]
+    while np.max(hi - lo) > resolution:
+        mid = 0.5 * (lo + hi)
+        ok = feasible(mid)
+        lo[ok] = mid[ok]
+        hi[~ok] = mid[~ok]
+    return float(np.min(lo))
+
+
+def _radius_or_error(radius, spec, d_omega):
+    try:
+        return radius(spec, d_omega)
+    except InvalidDomainError as err:
+        return str(err)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=admissible_domains())
+def test_interior_sphere_radius_equals_full_bisection(spec):
+    # a probe whose lo reaches the least hi is no longer tested; the least
+    # lo is still the full bisection's float, or both raise
+    d = diameter(spec)
+    want = _radius_or_error(_full_bisection_radius, spec, d)
+    assert _radius_or_error(interior_sphere_radius, spec, d) == want
+
+
+def test_interior_sphere_radius_tests_fewer_probes(monkeypatch):
+    # the domain of configs/stability_dirichlet.cfg: a hole probe sets the
+    # minimum well below the outer probes, which drop out early
+    spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
+    points = []
+    distance = geometry.distance_to_boundary
+    monkeypatch.setattr(
+        geometry, "distance_to_boundary", lambda s, p: points.append(len(p)) or distance(s, p)
+    )
+    interior_sphere_radius(spec)
+    pruned = sum(points)
+    points.clear()
+    _full_bisection_radius(spec)
+    assert 2 * pruned < sum(points)
 
 
 def test_interior_sphere_estimate_admits_tangent_ball(annulus):
@@ -424,6 +511,18 @@ def _full_square_diameter(spec):
 @pytest.mark.parametrize("modes", [(), ((2, 0.1),), ((3, 0.05),), ((2, 0.08), (3, 0.02))])
 def test_diameter_equals_full_pairwise_max(modes):
     spec = DomainSpec(1.0, modes)
+    assert diameter(spec) == _full_square_diameter(spec)
+
+
+def test_diameter_equals_full_pairwise_max_on_free_boundary_curve(free_boundary_spec):
+    # doubles to n = 4096, so the levels above 256 start from the last
+    # level's farthest pair and skip most block pairs
+    assert diameter(free_boundary_spec) == _full_square_diameter(free_boundary_spec)
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=admissible_domains())
+def test_diameter_equals_full_pairwise_max_on_admissible_domains(spec):
     assert diameter(spec) == _full_square_diameter(spec)
 
 
