@@ -56,7 +56,6 @@ from .stability import (
     BoundTable,
     StabilityReport,
     adjusted_center,
-    adjusted_center_tubular,
     bound_table,
     check_growth,
     check_hopf,

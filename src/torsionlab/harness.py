@@ -47,7 +47,6 @@ from .identities import (
 from .shapeflow import final_roundness, flow_to_constant_flux, roundness_gap
 from .solver import (
     SolverConvergenceError,
-    carve_holes,
     overdetermined_instance,
     radial_model,
     solve_cauchy,
@@ -398,10 +397,10 @@ def _build_field(cfg: ScenarioConfig, spec: DomainSpec):
             cfg.cauchy_eps, c=cfg.cauchy_c, hole_center=h.center, hole_radius=h.radius
         )
         return inst.spec, inst.model, {"instance": inst}
-    # cauchy-literal: continue from the hole-free curve, then carve
-    bare = DomainSpec(spec.outer_radius, spec.fourier_modes, ())
-    model, diag = solve_cauchy(bare, cfg.cauchy_c, future_holes=spec.holes)
-    return carve_holes(bare, spec.holes), model, {"solver": diag}
+    # cauchy-literal: continue from the hole-free curve; the holes are carved
+    # from the configured spec
+    model, diag = solve_cauchy(replace(spec, holes=()), cfg.cauchy_c, future_holes=spec.holes)
+    return spec, model, {"solver": diag}
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +448,12 @@ def run_identities(cfg: ScenarioConfig):
     spec, model, _ = _build_field(cfg, _build_spec(cfg))
     quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
     value_c = check_value_c(model, spec, quads)
+    fundamental = check_fundamental(model, spec, quads)
     reports = [
         check_divergence(spec, quads),
         value_c,
         check_pohozaev(model, spec, quads),
-        check_fundamental(model, spec, quads),
+        fundamental,
     ]
     # c is the outer-curve flux over |Gamma|; the identity's other side over
     # |Gamma| is a second, independent estimate of it
@@ -461,7 +461,9 @@ def run_identities(cfg: ScenarioConfig):
     c, from_divergence = value_c.lhs / gamma_len, value_c.rhs / gamma_len
     mismatch = abs(from_divergence - c)
     if cfg.field_kind != "dirichlet":  # every other kind has u_nu = c on Gamma
-        reports.append(check_overdetermined(model, spec, c, quads, cfg.overdet_tol))
+        reports.append(
+            check_overdetermined(model, c, quads, fundamental, value_c, cfg.overdet_tol)
+        )
     assertions = []
     for rep in reports:
         assertions.append(

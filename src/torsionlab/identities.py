@@ -129,22 +129,21 @@ def check_pohozaev(model: FieldModel, spec: DomainSpec, quads: Quadratures) -> I
     )
 
 
-def _fundamental_lhs(model, quads):
+def check_fundamental(model: FieldModel, spec: DomainSpec, quads: Quadratures) -> IdentityReport:
+    """Weighted Cauchy-Schwarz-deficit identity, no overdetermination assumed:
+    integral of (-u) * 2 * deficit equals the outer-curve cubic term plus the
+    hole corrections."""
     u, _, hess = evaluate(model, quads.area.nodes, "uh")
     frob = np.sum(hess * hess, axis=(1, 2))
     lap = hess[:, 0, 0] + hess[:, 1, 1]
     deficit = frob - lap * lap / N_DIM
-    return float(np.sum((-u) * 2.0 * deficit * quads.area.weights))
-
-
-def _fundamental_hole_terms(model, quads):
-    """The two hole integrand groups shared by the identity with and without
-    the overdetermination assumption."""
-    u_group = {}
-    grad_group = {}
+    lhs = float(np.sum((-u) * 2.0 * deficit * quads.area.weights))
+    bq = quads.bounds.gamma
+    _, _, u_nu, x_nu, _, _, _ = _boundary_fields(model, bq, "g")
+    breakdown = {"gamma": float(np.sum(u_nu**2 * (u_nu - x_nu / N_DIM) * bq.weights))}
     for bq in quads.bounds.holes:
         u, _, u_nu, x_nu, x_grad, grad2, hess_grad_nu = _boundary_fields(model, bq, "ugh")
-        u_group[bq.component] = float(
+        breakdown[f"{bq.component}:u"] = float(
             np.sum(2.0 * u * (x_nu / N_DIM - u_nu) * bq.weights)
         )
         integrand = (
@@ -154,22 +153,7 @@ def _fundamental_hole_terms(model, quads):
             + 2.0 * u * u_nu / N_DIM
             - 2.0 * hess_grad_nu * u
         )
-        grad_group[bq.component] = float(np.sum(integrand * bq.weights))
-    return u_group, grad_group
-
-
-def check_fundamental(model: FieldModel, spec: DomainSpec, quads: Quadratures) -> IdentityReport:
-    """Weighted Cauchy-Schwarz-deficit identity, no overdetermination assumed:
-    integral of (-u) * 2 * deficit equals the outer-curve cubic term plus the
-    hole corrections."""
-    lhs = _fundamental_lhs(model, quads)
-    bq = quads.bounds.gamma
-    _, _, u_nu, x_nu, _, _, _ = _boundary_fields(model, bq, "g")
-    breakdown = {"gamma": float(np.sum(u_nu**2 * (u_nu - x_nu / N_DIM) * bq.weights))}
-    u_group, grad_group = _fundamental_hole_terms(model, quads)
-    for comp in u_group:
-        breakdown[f"{comp}:u"] = u_group[comp]
-        breakdown[f"{comp}:grad"] = grad_group[comp]
+        breakdown[f"{bq.component}:grad"] = float(np.sum(integrand * bq.weights))
     return IdentityReport(
         identity="fundamental", lhs=lhs, rhs=sum(breakdown.values()), breakdown=breakdown
     )
@@ -177,45 +161,41 @@ def check_fundamental(model: FieldModel, spec: DomainSpec, quads: Quadratures) -
 
 def check_overdetermined(
     model: FieldModel,
-    spec: DomainSpec,
     c: float,
     quads: Quadratures,
+    fundamental: IdentityReport,
+    value_c: IdentityReport,
     tol_overdet: float = 1e-6,
 ) -> IdentityReport:
-    """The deficit identity specialized to constant normal derivative c on the
-    outer curve; refuses when the hypothesis fails beyond tol_overdet.
+    """The fundamental identity with constant normal derivative c on the outer
+    curve, its outer-curve term rewritten through the flux and divergence
+    identities as c^2 times a hole term; refuses when the hypothesis fails
+    beyond tol_overdet.
 
-    Also verifies the intermediate flux identity
-    integral_Gamma u_nu = |Omega| - |omega| - integral_hole u_nu,
-    whose residual is stored in the extras under 'flux_identity_residual'.
+    fundamental and value_c are check_fundamental's and check_value_c's
+    reports on the same field and quadratures: the left side and the hole
+    u/grad terms are fundamental's, and the flux identity's residual (value_c
+    lhs - rhs) is stored in the extras under 'flux_identity_residual'.
     """
-    bq = quads.bounds.gamma
-    _, _, u_nu, _, _, _, _ = _boundary_fields(model, bq, "g")
+    _, _, u_nu, _, _, _, _ = _boundary_fields(model, quads.bounds.gamma, "g")
     deviation = float(np.max(np.abs(u_nu - c)))
     if deviation > tol_overdet:
         raise OverdeterminationError(deviation, tol_overdet)
-    lhs = _fundamental_lhs(model, quads)
     breakdown = {}
-    u_group, grad_group = _fundamental_hole_terms(model, quads)
-    flux_holes = 0.0
-    for bq_h in quads.bounds.holes:
-        _, _, u_nu_h, x_nu_h, _, _, _ = _boundary_fields(model, bq_h, "g")
-        breakdown[f"{bq_h.component}:c2"] = c * c * float(
-            np.sum((x_nu_h / N_DIM - u_nu_h) * bq_h.weights)
+    for bq in quads.bounds.holes:
+        _, _, u_nu_h, x_nu_h, _, _, _ = _boundary_fields(model, bq, "g")
+        breakdown[f"{bq.component}:c2"] = c * c * float(
+            np.sum((x_nu_h / N_DIM - u_nu_h) * bq.weights)
         )
-        flux_holes += float(np.sum(u_nu_h * bq_h.weights))
-    for comp in u_group:
-        breakdown[f"{comp}:u"] = u_group[comp]
-        breakdown[f"{comp}:grad"] = grad_group[comp]
-    flux_gamma = float(np.sum(u_nu * bq.weights))
+    breakdown.update((k, v) for k, v in fundamental.breakdown.items() if k != "gamma")
     return IdentityReport(
         identity="overdetermined",
-        lhs=lhs,
+        lhs=fundamental.lhs,
         rhs=sum(breakdown.values()),
         breakdown=breakdown,
         extras={
             "overdetermination_deviation": deviation,
-            "flux_identity_residual": flux_gamma - (spec.region_area - flux_holes),
+            "flux_identity_residual": value_c.lhs - value_c.rhs,
         },
     )
 

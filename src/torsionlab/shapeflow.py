@@ -17,7 +17,7 @@ every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,15 +138,6 @@ def _cosine_fit(r_values, n_modes) -> DomainSpec:
     return DomainSpec(outer_radius=R0, fourier_modes=tuple(modes))
 
 
-def _rescale_area(spec: DomainSpec, target_area: float) -> DomainSpec:
-    factor = math.sqrt(target_area / spec.outer_area)
-    return DomainSpec(
-        outer_radius=spec.outer_radius * factor,
-        fourier_modes=spec.fourier_modes,
-        holes=spec.holes,
-    )
-
-
 def flow_to_constant_flux(spec: DomainSpec) -> FlowResult:
     """Evolve the outer curve of a hole-free domain along +(u_nu^2 - mean)
     normal velocity, with exact area restoration each step, until u_nu is
@@ -195,7 +186,8 @@ def flow_to_constant_flux(spec: DomainSpec) -> FlowResult:
         for _ in range(max_halvings + 1):
             try:
                 cand = _cosine_fit(r_cur + step * v_n / cosf, 16)
-                cand = _rescale_area(cand, target_area)
+                factor = math.sqrt(target_area / cand.outer_area)
+                cand = replace(cand, outer_radius=cand.outer_radius * factor)
                 m2, th2, u2, mean2, std2, e2, n2 = measure(cand)
             except (SolverConvergenceError, ValueError):
                 step *= 0.5

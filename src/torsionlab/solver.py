@@ -325,15 +325,6 @@ def solve_cauchy(
     return model, diag
 
 
-def carve_holes(spec: DomainSpec, holes) -> DomainSpec:
-    """The same outer curve with holes excised; used after Cauchy continuation."""
-    return DomainSpec(
-        outer_radius=spec.outer_radius,
-        fourier_modes=spec.fourier_modes,
-        holes=tuple(holes),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Exactly overdetermined instances (free-boundary construction)
 # ---------------------------------------------------------------------------
@@ -423,6 +414,20 @@ def overdetermined_instance(
         )
         return un - c, e_u, coef, out_src, q_in
 
+    def failure(message, res_u, res_n):
+        return SolverConvergenceError(
+            message,
+            SolveDiagnostics(
+                residual_per_component={"gamma": res_u, "gamma_normal": res_n},
+                max_residual=max(res_u, res_n),
+                condition=math.nan,
+                tikhonov=0.0,
+                truncated_modes=0,
+                n_collocation=n_collocation,
+                n_unknowns=n_out + 1,
+            ),
+        )
+
     # one-time numeric probe of the k=1 Neumann response to the dipole strength
     en0, *_ = dirichlet_pass(0.0)
     en1, *_ = dirichlet_pass(1e-2)
@@ -441,18 +446,7 @@ def overdetermined_instance(
         for k in range(2, n_modes + 1):
             state["b"][k] -= 2.0 * fc[k].real / (0.5 * (1.0 - k))
     if not e_n < 100 * tol:
-        raise SolverConvergenceError(
-            "free-boundary iteration did not converge",
-            SolveDiagnostics(
-                residual_per_component={"gamma": e_u, "gamma_normal": e_n},
-                max_residual=max(e_u, e_n),
-                condition=math.nan,
-                tikhonov=0.0,
-                truncated_modes=0,
-                n_collocation=n_collocation,
-                n_unknowns=n_out + 1,
-            ),
-        )
+        raise failure("free-boundary iteration did not converge", e_u, e_n)
 
     # re-expand the shape about the world origin with the hole at hole_center
     p = np.asarray(hole_center, dtype=float)
@@ -499,17 +493,8 @@ def overdetermined_instance(
     )
     u_hole = evaluate_u(model, check.holes[0].nodes)
     if max(res_u, res_n) > 1e-8 or np.max(u_hole) > 0:
-        raise SolverConvergenceError(
-            "overdetermined instance failed verification on the final domain",
-            SolveDiagnostics(
-                residual_per_component={"gamma": res_u, "gamma_normal": res_n},
-                max_residual=max(res_u, res_n),
-                condition=math.nan,
-                tikhonov=0.0,
-                truncated_modes=0,
-                n_collocation=n_collocation,
-                n_unknowns=n_out + 1,
-            ),
+        raise failure(
+            "overdetermined instance failed verification on the final domain", res_u, res_n
         )
     return OverdeterminedInstance(
         spec=spec,

@@ -44,29 +44,22 @@ REGIMES = ("sphere-condition", "john-relaxed", "tubular")
 # ---------------------------------------------------------------------------
 
 
-def adjusted_center(spec: DomainSpec, model: FieldModel, quads: Quadratures):
-    """The hole-flux-adjusted center: (integral x dx - N * integral_hole u nu dS)
-    normalized by the region area; tends to the barycenter as holes shrink."""
-    first_moment = np.sum(quads.area.nodes * quads.area.weights[:, None], axis=0)
-    hole_term = np.zeros(2)
-    for bq in quads.bounds.holes:
+def adjusted_center(spec: DomainSpec, model: FieldModel, region, boundaries, total: float):
+    """The flux-adjusted center: (integral over region of x - N * sum over
+    boundaries of integral u nu dS) / total, and whether it lies inside the
+    outer curve.
+
+    On the area quadrature with the holes and the region area it tends to the
+    barycenter as holes shrink; on the boundary layer of tubular_sets with its
+    inner interface curve (normal pointing away from the outer curve) and the
+    layer's quadrature total it is the tubular regime's center.
+    """
+    first_moment = np.sum(region.nodes * region.weights[:, None], axis=0)
+    boundary_term = np.zeros(2)
+    for bq in boundaries:
         u = evaluate_u(model, bq.nodes)
-        hole_term += N_DIM * np.sum((u * bq.weights)[:, None] * bq.normals, axis=0)
-    z = (first_moment - hole_term) / spec.region_area
-    inside = bool(spec._inside_outer(z[None, :])[0])
-    return z, inside
-
-
-def adjusted_center_tubular(spec: DomainSpec, model: FieldModel, r_i: float,
-                            n_theta: int = 256, n_s: int = 24):
-    """Same center formula computed on the boundary layer of width r_i, with
-    the boundary term on the inner interface curve (its outward normal points
-    away from the outer curve)."""
-    tube, inner = tubular_sets(spec, r_i, r_i, n_theta=n_theta, n_s=n_s)
-    first_moment = np.sum(tube.nodes * tube.weights[:, None], axis=0)
-    u = evaluate_u(model, inner.nodes)
-    inner_term = N_DIM * np.sum((u * inner.weights)[:, None] * inner.normals, axis=0)
-    z = (first_moment - inner_term) / tube.total
+        boundary_term += N_DIM * np.sum((u * bq.weights)[:, None] * bq.normals, axis=0)
+    z = (first_moment - boundary_term) / total
     inside = bool(spec._inside_outer(z[None, :])[0])
     return z, inside
 
@@ -97,6 +90,23 @@ class PointwiseCheckReport:
         return self.violations == 0
 
 
+def _pointwise_report(name, pts, slack) -> PointwiseCheckReport:
+    """The report of a pointwise lemma whose slack at pts must be >= -1e-9;
+    the witness is the point of least slack when any fails."""
+    bad = slack < -1e-9
+    witness = None
+    if np.any(bad):
+        i = int(np.argmin(slack))
+        witness = (tuple(pts[i]), float(slack[i]))
+    return PointwiseCheckReport(
+        name=name,
+        n_samples=pts.shape[0],
+        min_slack=float(np.min(slack)),
+        violations=int(np.sum(bad)),
+        witness=witness,
+    )
+
+
 def check_growth(model: FieldModel, spec: DomainSpec, pts, r_i: float) -> PointwiseCheckReport:
     """-u >= delta^2/(2N) and -u >= (r_i/2N) * delta at the sample points, up
     to a slack of 1e-9."""
@@ -105,37 +115,13 @@ def check_growth(model: FieldModel, spec: DomainSpec, pts, r_i: float) -> Pointw
     delta = distance_to_boundary(spec, pts)
     slack_sq = -u - delta * delta / (2.0 * N_DIM)
     slack_lin = -u - (r_i / (2.0 * N_DIM)) * delta
-    slack = np.minimum(slack_sq, slack_lin)
-    bad = slack < -1e-9
-    witness = None
-    if np.any(bad):
-        i = int(np.argmin(slack))
-        witness = (tuple(pts[i]), float(slack[i]))
-    return PointwiseCheckReport(
-        name="growth",
-        n_samples=pts.shape[0],
-        min_slack=float(np.min(slack)),
-        violations=int(np.sum(bad)),
-        witness=witness,
-    )
+    return _pointwise_report("growth", pts, np.minimum(slack_sq, slack_lin))
 
 
 def check_hopf(model: FieldModel, gamma_quad: BoundaryQuadrature, r_i: float) -> PointwiseCheckReport:
     """u_nu >= r_i / N on the outer curve, up to a slack of 1e-9."""
     u_nu = normal_derivative(model, gamma_quad.nodes, gamma_quad.normals)
-    slack = u_nu - r_i / N_DIM
-    bad = slack < -1e-9
-    witness = None
-    if np.any(bad):
-        i = int(np.argmin(slack))
-        witness = (tuple(gamma_quad.nodes[i]), float(slack[i]))
-    return PointwiseCheckReport(
-        name="hopf",
-        n_samples=gamma_quad.n_nodes,
-        min_slack=float(np.min(slack)),
-        violations=int(np.sum(bad)),
-        witness=witness,
-    )
+    return _pointwise_report("hopf", gamma_quad.nodes, u_nu - r_i / N_DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +270,6 @@ class HarmonicField:
             np.atleast_2d(pts), self.sources, self.coeffs, want
         )
         return u, grad
-
-    def u(self, pts):
-        return self.fields(pts, "u")[0]
-
-    def grad(self, pts):
-        return self.fields(pts, "g")[1]
 
 
 def random_harmonic_fields(spec: DomainSpec, n_fields: int, rng):
@@ -679,10 +659,11 @@ def stability_report(
         u_holes_max = max(u_holes_max, float(np.max(u_h)))
 
     if regime == "tubular":
-        z, z_inside = adjusted_center_tubular(spec, model, r_i)
+        tube, inner = tubular_sets(spec, r_i, r_i)
+        z, z_inside = adjusted_center(spec, model, tube, (inner,), tube.total)
         z_formula = "boundary-layer"
     else:
-        z, z_inside = adjusted_center(spec, model, quads)
+        z, z_inside = adjusted_center(spec, model, quads.area, quads.bounds.holes, spec.region_area)
         z_formula = "flux-adjusted-barycenter"
     if z_override is not None:
         z = np.asarray(z_override, dtype=float)

@@ -5,7 +5,10 @@ import pytest
 
 from torsionlab.geometry import DomainSpec, Hole, build_quadratures, random_interior_points
 from torsionlab.identities import (
+    N_DIM,
+    IdentityReport,
     OverdeterminationError,
+    _boundary_fields,
     cauchy_schwarz_deficit,
     check_divergence,
     check_fundamental,
@@ -92,6 +95,14 @@ def test_deficit_self_convergence_oracle():
 # ---------------------------------------------------------------------------
 
 
+def _overdetermined(model, spec, c, quads, tol_overdet=1e-6):
+    """check_overdetermined on the fundamental and value_c reports of the
+    same field and quadratures, as the identities experiment runs it."""
+    fundamental = check_fundamental(model, spec, quads)
+    value_c = check_value_c(model, spec, quads)
+    return check_overdetermined(model, c, quads, fundamental, value_c, tol_overdet)
+
+
 @pytest.mark.parametrize("rho", [0.1, 0.2, 0.4])
 def test_pohozaev_radial_annulus(rho):
     spec = DomainSpec(1.0, holes=(Hole((0.0, 0.0), rho, (rho**2 - 1) / 4.0),))
@@ -129,7 +140,7 @@ def test_overdetermined_radial_groups_vanish(rho):
     spec = DomainSpec(1.0, holes=(Hole((0.0, 0.0), rho, (rho**2 - 1) / 4.0),))
     quads = build_quadratures(spec, 256, 48)
     model = radial_model(1.0)
-    rep = check_overdetermined(model, spec, 0.5, quads)
+    rep = _overdetermined(model, spec, 0.5, quads)
     for key, val in rep.breakdown.items():
         assert abs(val) <= 1e-9, key
     assert rep.rel_residual <= 1e-8
@@ -181,7 +192,7 @@ def test_fundamental_lhs_nonnegative_when_u_nonpositive():
 def test_overdetermined_instance_identity():
     inst = overdetermined_instance(0.02)
     quads = build_quadratures(inst.spec, 256, 48)
-    rep = check_overdetermined(inst.model, inst.spec, inst.c, quads)
+    rep = _overdetermined(inst.model, inst.spec, inst.c, quads)
     assert rep.rel_residual <= 1e-3
     assert abs(rep.extras["flux_identity_residual"]) <= 1e-6
 
@@ -191,7 +202,7 @@ def test_overdetermined_refuses_dirichlet_instance():
     model, _ = solve_dirichlet(spec, 96, 1.8)
     quads = build_quadratures(spec, 128, 24)
     with pytest.raises(OverdeterminationError):
-        check_overdetermined(model, spec, 0.5, quads)
+        _overdetermined(model, spec, 0.5, quads)
 
 
 def test_breakdown_sums_to_rhs():
@@ -263,3 +274,96 @@ def test_value_c_identity_generic():
     model, _ = solve_dirichlet(spec, 96, 1.8)
     quads = build_quadratures(spec, 192, 32)
     assert check_value_c(model, spec, quads).rel_residual <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The overdetermined identity reuses the fundamental and flux identities
+# ---------------------------------------------------------------------------
+
+
+def _overdetermined_from_scratch(model, spec, c, quads, tol_overdet):
+    """The overdetermined identity computed on its own: a second area-Hessian
+    pass, the hole terms, and the outer-curve and hole fluxes.  The oracle for
+    check_overdetermined, which takes all of these from the fundamental and
+    value_c reports."""
+    _, _, u_nu, _, _, _, _ = _boundary_fields(model, quads.bounds.gamma, "g")
+    deviation = float(np.max(np.abs(u_nu - c)))
+    if deviation > tol_overdet:
+        raise OverdeterminationError(deviation, tol_overdet)
+    u, _, hess = evaluate(model, quads.area.nodes, "uh")
+    frob = np.sum(hess * hess, axis=(1, 2))
+    lap = hess[:, 0, 0] + hess[:, 1, 1]
+    lhs = float(np.sum((-u) * 2.0 * (frob - lap * lap / N_DIM) * quads.area.weights))
+    u_group, grad_group = {}, {}
+    for bq in quads.bounds.holes:
+        u, _, u_nu_h, x_nu, x_grad, grad2, hess_grad_nu = _boundary_fields(model, bq, "ugh")
+        u_group[bq.component] = float(np.sum(2.0 * u * (x_nu / N_DIM - u_nu_h) * bq.weights))
+        integrand = (
+            u_nu_h * grad2
+            - 2.0 * x_grad * u_nu_h / N_DIM
+            + grad2 * x_nu / N_DIM
+            + 2.0 * u * u_nu_h / N_DIM
+            - 2.0 * hess_grad_nu * u
+        )
+        grad_group[bq.component] = float(np.sum(integrand * bq.weights))
+    breakdown = {}
+    flux_holes = 0.0
+    for bq in quads.bounds.holes:
+        _, _, u_nu_h, x_nu, _, _, _ = _boundary_fields(model, bq, "g")
+        breakdown[f"{bq.component}:c2"] = c * c * float(np.sum((x_nu / N_DIM - u_nu_h) * bq.weights))
+        flux_holes += float(np.sum(u_nu_h * bq.weights))
+    for comp in u_group:
+        breakdown[f"{comp}:u"] = u_group[comp]
+        breakdown[f"{comp}:grad"] = grad_group[comp]
+    flux_gamma = float(np.sum(u_nu * quads.bounds.gamma.weights))
+    return IdentityReport(
+        identity="overdetermined",
+        lhs=lhs,
+        rhs=sum(breakdown.values()),
+        breakdown=breakdown,
+        extras={
+            "overdetermination_deviation": deviation,
+            "flux_identity_residual": flux_gamma - (spec.region_area - flux_holes),
+        },
+    )
+
+
+def _overdetermined_case(name):
+    """(spec, model, tol_overdet) of one instance for the oracle comparison."""
+    if name == "identities_radial":  # configs/identities_radial.cfg
+        hole = Hole((0.0, 0.0), 0.2, -0.24)
+        return DomainSpec(1.0, holes=(hole,)), radial_model(1.0, hole), 1e-6
+    if name == "disk":
+        return DomainSpec(1.0), radial_model(1.0), 1e-6
+    if name.startswith("free-boundary"):
+        inst = overdetermined_instance(float(name.split(":")[1]))
+        return inst.spec, inst.model, 1e-6
+    spec = DomainSpec(
+        1.0,
+        ((2, 0.05),),
+        (Hole((0.4, 0.0), 0.12, -0.05), Hole((-0.35, 0.2), 0.1, -0.02)),
+    )
+    return spec, solve_dirichlet(spec, 96, 1.8)[0], math.inf
+
+
+@pytest.mark.parametrize(
+    "name", ["identities_radial", "disk", "free-boundary:0.005", "free-boundary:0.02", "two-holes"]
+)
+def test_overdetermined_matches_from_scratch_bitwise(name):
+    spec, model, tol = _overdetermined_case(name)
+    quads = build_quadratures(spec, 256, 48)
+    value_c = check_value_c(model, spec, quads)
+    c = value_c.lhs / quads.bounds.gamma.arc_length
+    got = check_overdetermined(
+        model, c, quads, check_fundamental(model, spec, quads), value_c, tol
+    )
+    want = _overdetermined_from_scratch(model, spec, c, quads, tol)
+    assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+    assert list(got.breakdown.items()) == list(want.breakdown.items())
+    deviation = "overdetermination_deviation"
+    assert got.extras[deviation] == want.extras[deviation]
+    residual = got.extras["flux_identity_residual"]
+    if len(spec.holes) <= 1:
+        assert residual == want.extras["flux_identity_residual"]
+    else:  # value_c sums the hole fluxes into the area one at a time
+        assert abs(residual - want.extras["flux_identity_residual"]) <= 1e-15

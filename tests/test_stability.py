@@ -1,11 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from torsionlab import _kernels
+from torsionlab import _kernels, harness
 from torsionlab.geometry import (
     BoundaryQuadrature,
     DomainSpec,
@@ -13,7 +14,10 @@ from torsionlab.geometry import (
     build_quadratures,
     interior_sphere_radius,
     random_interior_points,
+    tubular_sets,
 )
+from torsionlab.harness import load_config
+from torsionlab.identities import check_value_c
 from torsionlab.solver import (
     evaluate_u,
     overdetermined_instance,
@@ -23,7 +27,6 @@ from torsionlab.solver import (
 from torsionlab.stability import (
     ExponentTripleError,
     adjusted_center,
-    adjusted_center_tubular,
     bound_table,
     check_growth,
     check_hopf,
@@ -39,6 +42,7 @@ from torsionlab.stability import (
 )
 
 TWO_PI = 2.0 * math.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class HarmonicPoly:
@@ -58,15 +62,24 @@ class HarmonicPoly:
 # ---------------------------------------------------------------------------
 
 
+def _center(spec, model, quads):
+    return adjusted_center(spec, model, quads.area, quads.bounds.holes, spec.region_area)
+
+
+def _center_tubular(spec, model, r_i, n_theta=256, n_s=24):
+    tube, inner = tubular_sets(spec, r_i, r_i, n_theta=n_theta, n_s=n_s)
+    return adjusted_center(spec, model, tube, (inner,), tube.total)
+
+
 def test_center_radial_annulus(annulus, annulus_quads, annulus_model):
-    z, inside = adjusted_center(annulus, annulus_model, annulus_quads)
+    z, inside = _center(annulus, annulus_model, annulus_quads)
     assert inside
     assert np.max(np.abs(z)) <= 1e-9
 
 
 def test_center_ball_is_barycenter(ball, ball_quads):
     model = radial_model(1.0)
-    z, inside = adjusted_center(ball, model, ball_quads)
+    z, inside = _center(ball, model, ball_quads)
     assert inside and np.max(np.abs(z)) <= 1e-12
 
 
@@ -75,14 +88,14 @@ def test_center_self_convergence_oracle():
     model, _ = solve_dirichlet(spec, 96, 1.8)
     coarse = build_quadratures(spec, 128, 24)
     fine = build_quadratures(spec, 1024, 192)  # 8x resolution oracle
-    z1, _ = adjusted_center(spec, model, coarse)
-    z8, _ = adjusted_center(spec, model, fine)
+    z1, _ = _center(spec, model, coarse)
+    z8, _ = _center(spec, model, fine)
     assert np.max(np.abs(z1 - z8)) <= 1e-6
 
 
 def test_center_tubular_radial(annulus, annulus_model):
     r_i = interior_sphere_radius(annulus)
-    z, inside = adjusted_center_tubular(annulus, annulus_model, r_i)
+    z, inside = _center_tubular(annulus, annulus_model, r_i)
     assert inside and np.max(np.abs(z)) <= 1e-9
 
 
@@ -91,11 +104,11 @@ def test_center_tubular_ignores_hole_outside_tube():
     spec = DomainSpec(1.0, holes=(Hole((0.3, 0.0), 0.1, -0.1),))
     model, _ = solve_dirichlet(spec, 96, 1.8)
     r_i = interior_sphere_radius(spec)
-    z, inside = adjusted_center_tubular(spec, model, r_i)
+    z, inside = _center_tubular(spec, model, r_i)
     assert inside
     # the hole-free ball with the same outer curve gives exactly zero
     ball_model, _ = solve_dirichlet(DomainSpec(1.0), 96, 1.8)
-    z0, _ = adjusted_center_tubular(DomainSpec(1.0), ball_model, 1.0)
+    z0, _ = _center_tubular(DomainSpec(1.0), ball_model, 1.0)
     assert np.max(np.abs(z0)) <= 1e-6
     assert np.max(np.abs(z)) <= 0.05  # z stays near the barycenter
 
@@ -104,8 +117,8 @@ def test_center_tubular_self_convergence():
     spec = DomainSpec(1.0, ((3, 0.05),))
     model, _ = solve_dirichlet(spec, 96, 1.8)
     r_i = interior_sphere_radius(spec)
-    z1, _ = adjusted_center_tubular(spec, model, r_i, n_theta=128, n_s=12)
-    z8, _ = adjusted_center_tubular(spec, model, r_i, n_theta=1024, n_s=96)
+    z1, _ = _center_tubular(spec, model, r_i, n_theta=128, n_s=12)
+    z8, _ = _center_tubular(spec, model, r_i, n_theta=1024, n_s=96)
     assert np.max(np.abs(z1 - z8)) <= 1e-5
 
 
@@ -485,6 +498,18 @@ def test_stability_report_two_holes():
     assert rep.holes_diameter_sup == pytest.approx(0.24)  # sup of hole diameters
     # K is the max over both hole boundaries
     assert rep.hole_c2_norm > 0
+
+
+def test_report_c_is_the_value_c_flux_over_arc_length():
+    # stability_report's c and the identities experiment's c (the outer-curve
+    # side of the value_c identity over |Gamma|) are the same float
+    cfg = load_config(CONFIGS / "stability_dirichlet.cfg")
+    [(_, _, _, spec, model)] = harness._points(cfg)
+    inst = overdetermined_instance(0.02)
+    for spec, model in ((spec, model), (inst.spec, inst.model)):
+        quads = build_quadratures(spec, 256, 48)
+        rep = stability_report(spec, model, quads, waive_overdetermination=True)
+        assert rep.c == check_value_c(model, spec, quads).lhs / quads.bounds.gamma.arc_length
 
 
 def test_report_invariants(annulus, annulus_quads, annulus_model):
