@@ -321,9 +321,9 @@ class DomainSpec:
         """Foot-point angles on the outer curve: Newton steps on the
         stationarity of |x(theta) - p|^2 from the starting angles theta (a
         nearest or farthest sample), each clipped to 0.5; every point stops on
-        its own |step| < 1e-15, after at most 40 steps, and at once where the
-        Newton denominator |h| < 1e-14 (p at a centre of curvature, where every
-        angle is a foot point)."""
+        its own |step| < 16 eps max(1, |theta|), a few ulps of its angle, after
+        at most 40 steps, and at once where the Newton denominator |h| < 1e-14
+        (p at a centre of curvature, where every angle is a foot point)."""
         theta = np.array(theta, dtype=float)
         active = np.arange(theta.size)  # points still taking Newton steps
         for _ in range(40):
@@ -342,7 +342,8 @@ class DomainSpec:
             step = np.zeros_like(g)
             step[moving] = np.clip(g[moving] / h[moving], -0.5, 0.5)
             theta[active] = th - step
-            active = active[np.abs(step) >= 1e-15]
+            ulps = 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(th))
+            active = active[np.abs(step) >= ulps]
             if active.size == 0:
                 break
         return theta
@@ -585,14 +586,15 @@ def distance_to_boundary(spec: DomainSpec, pts):
 def interior_sphere_radius(spec: DomainSpec, d_omega: float | None = None) -> float:
     """Estimate of the uniform interior-sphere radius.
 
-    For boundary probes p (512 on the outer curve, 256 on each hole),
-    binary-searches to within 1e-6 the largest r such that the ball of
-    radius r tangent at p (center p - r * normal) stays inside the region, up
-    to a slack of 1e-9 in the distance test; on the outer curve the search is
-    additionally capped by 1/max curvature.  Balls are only tested at the
-    probes, so this is an estimate, not a proven lower bound.  ``d_omega``
-    is the diameter when the caller already has it (it caps the search on
-    hole boundaries).
+    For boundary probes p, the nodes of ``build_boundary_quadrature(spec,
+    512)`` (512 on the outer curve, 256 on each hole), binary-searches to
+    within 1e-6 the largest r such that the ball of radius r tangent at p
+    (center p - r * normal) stays inside the region, up to a slack of 1e-9
+    in the distance test; on the outer curve the search is additionally
+    capped by 1/max curvature.  Balls are only tested at the probes, so
+    this is an estimate, not a proven lower bound.  ``d_omega`` is the
+    diameter when the caller already has it (it caps the search on hole
+    boundaries).
 
     Only the least ``lo`` is returned, so a probe stops being tested once
     its ``lo`` reaches the bound B = min ``hi`` over the probes still tested
@@ -606,26 +608,16 @@ def interior_sphere_radius(spec: DomainSpec, d_omega: float | None = None) -> fl
     test at the resolution and the test at the caps still cover every
     probe.
     """
-    resolution, n_probe = 1e-6, 512
-    probes, normals, caps = [], [], []
-    theta = np.linspace(0.0, TWO_PI, n_probe, endpoint=False)
-    probes.append(spec.boundary_point(theta))
-    normals.append(spec.boundary_normal(theta))
-    kmax = max(spec.max_curvature(), 1e-12)
-    caps.append(np.full(n_probe, 1.0 / kmax))
-    nh = max(128, n_probe // 2)
-    th = np.linspace(0.0, TWO_PI, nh, endpoint=False)
-    unit = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    resolution = 1e-6
+    rules = build_boundary_quadrature(spec, 512).all()
+    probes = np.concatenate([bq.nodes for bq in rules])
+    normals = np.concatenate([bq.normals for bq in rules])
     if spec.holes and d_omega is None:
         d_omega = diameter(spec)
-    hole_cap = 2.0 * d_omega if spec.holes else 0.0
-    for hole in spec.holes:
-        probes.append(hole.boundary_points(th))
-        normals.append(-unit)
-        caps.append(np.full(nh, hole_cap))
-    probes = np.concatenate(probes)
-    normals = np.concatenate(normals)
-    caps = np.concatenate(caps)
+    caps = np.concatenate(
+        [np.full(rules[0].n_nodes, 1.0 / max(spec.max_curvature(), 1e-12))]
+        + [np.full(bq.n_nodes, 2.0 * d_omega) for bq in rules[1:]]
+    )
 
     def feasible(r, at):
         centers = (probes - r[:, None] * normals).compress(at, axis=0)

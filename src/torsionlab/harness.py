@@ -57,7 +57,6 @@ from .stability import (
     ExponentTripleError,
     bound_table,
     check_growth,
-    check_hopf,
     fit_constants,
     poincare_ratio_experiment,
     stability_report,
@@ -435,8 +434,11 @@ def _finite(value):
 
 
 def _report_from_stability(rep):
-    """Every StabilityReport field but the comparison, in declaration order."""
-    return _finite({f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "comparison"})
+    """Every StabilityReport field but the Hopf check and the comparison, in
+    declaration order."""
+    return _finite(
+        {f.name: getattr(rep, f.name) for f in fields(rep) if f.name not in ("hopf", "comparison")}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +450,11 @@ def run_identities(cfg: ScenarioConfig):
     spec, model, _ = _build_field(cfg, _build_spec(cfg))
     quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
     value_c = check_value_c(model, spec, quads)
-    fundamental = check_fundamental(model, spec, quads)
+    fundamental = check_fundamental(model, quads)
     reports = [
         check_divergence(spec, quads),
         value_c,
-        check_pohozaev(model, spec, quads),
+        check_pohozaev(model, quads),
         fundamental,
     ]
     # c is the outer-curve flux over |Gamma|; the identity's other side over
@@ -527,7 +529,6 @@ def _stability_point(cfg: ScenarioConfig, point):
     rng = np.random.default_rng(cfg.seed)
     pts = random_interior_points(spec, cfg.growth_samples, rng)
     growth = check_growth(model, spec, pts, rep.r_i)
-    hopf = check_hopf(model, quads.bounds.gamma, rep.r_i)
     table = bound_table(spec, rep.c, rep.hole_c2_norm, rep.r_i, rep.d_omega)
     assertions = [
         Assertion("hypotheses_pass", rep.hypotheses_pass, witness=json.dumps(rep.hypotheses)),
@@ -538,8 +539,8 @@ def _stability_point(cfg: ScenarioConfig, point):
         ),
         Assertion(
             "hopf_bound",
-            hopf.passed,
-            witness=f"violations={hopf.violations} min_slack={hopf.min_slack:.3e}",
+            rep.hopf.passed,
+            witness=f"violations={rep.hopf.violations} min_slack={rep.hopf.min_slack:.3e}",
         ),
     ]
     if table.c_in_bracket is not None:
@@ -563,7 +564,7 @@ def _stability_point(cfg: ScenarioConfig, point):
     entry = {
         "stability": _report_from_stability(rep),
         "growth": {"violations": growth.violations, "min_slack": growth.min_slack},
-        "hopf": {"violations": hopf.violations, "min_slack": hopf.min_slack},
+        "hopf": {"violations": rep.hopf.violations, "min_slack": rep.hopf.min_slack},
         "bounds": _finite(table.entries),
         "c_in_bracket": table.c_in_bracket,
     }

@@ -106,7 +106,7 @@ def check_divergence(spec: DomainSpec, quads: Quadratures) -> IdentityReport:
     )
 
 
-def check_pohozaev(model: FieldModel, spec: DomainSpec, quads: Quadratures) -> IdentityReport:
+def check_pohozaev(model: FieldModel, quads: Quadratures) -> IdentityReport:
     """Rellich-Pohozaev identity: (N+2) * integral |grad u|^2 against the
     boundary form with its hole correction terms."""
     _, grad, _ = evaluate(model, quads.area.nodes, "g")
@@ -129,7 +129,7 @@ def check_pohozaev(model: FieldModel, spec: DomainSpec, quads: Quadratures) -> I
     )
 
 
-def check_fundamental(model: FieldModel, spec: DomainSpec, quads: Quadratures) -> IdentityReport:
+def check_fundamental(model: FieldModel, quads: Quadratures) -> IdentityReport:
     """Weighted Cauchy-Schwarz-deficit identity, no overdetermination assumed:
     integral of (-u) * 2 * deficit equals the outer-curve cubic term plus the
     hole corrections."""

@@ -44,10 +44,10 @@ REGIMES = ("sphere-condition", "john-relaxed", "tubular")
 # ---------------------------------------------------------------------------
 
 
-def adjusted_center(spec: DomainSpec, model: FieldModel, region, boundaries, total: float):
+def adjusted_center(spec: DomainSpec, region, boundaries, total: float):
     """The flux-adjusted center: (integral over region of x - N * sum over
     boundaries of integral u nu dS) / total, and whether it lies inside the
-    outer curve.
+    outer curve.  boundaries holds (quadrature, u at its nodes) pairs.
 
     On the area quadrature with the holes and the region area it tends to the
     barycenter as holes shrink; on the boundary layer of tubular_sets with its
@@ -56,8 +56,7 @@ def adjusted_center(spec: DomainSpec, model: FieldModel, region, boundaries, tot
     """
     first_moment = np.sum(region.nodes * region.weights[:, None], axis=0)
     boundary_term = np.zeros(2)
-    for bq in boundaries:
-        u = evaluate_u(model, bq.nodes)
+    for bq, u in boundaries:
         boundary_term += N_DIM * np.sum((u * bq.weights)[:, None] * bq.normals, axis=0)
     z = (first_moment - boundary_term) / total
     inside = bool(spec._inside_outer(z[None, :])[0])
@@ -118,9 +117,9 @@ def check_growth(model: FieldModel, spec: DomainSpec, pts, r_i: float) -> Pointw
     return _pointwise_report("growth", pts, np.minimum(slack_sq, slack_lin))
 
 
-def check_hopf(model: FieldModel, gamma_quad: BoundaryQuadrature, r_i: float) -> PointwiseCheckReport:
-    """u_nu >= r_i / N on the outer curve, up to a slack of 1e-9."""
-    u_nu = normal_derivative(model, gamma_quad.nodes, gamma_quad.normals)
+def check_hopf(gamma_quad: BoundaryQuadrature, u_nu, r_i: float) -> PointwiseCheckReport:
+    """u_nu >= r_i / N on the outer curve, up to a slack of 1e-9; u_nu is the
+    field's normal derivative at the nodes of gamma_quad."""
     return _pointwise_report("hopf", gamma_quad.nodes, u_nu - r_i / N_DIM)
 
 
@@ -591,34 +590,13 @@ class StabilityReport:
     tau_exponent: float
     hypotheses: dict
     ratios: dict
+    hopf: PointwiseCheckReport
     comparison: AsymmetryComparisonReport | None = None
     notes: tuple = ()
 
     @property
     def hypotheses_pass(self) -> bool:
         return all(self.hypotheses.values())
-
-
-def hole_c2_norm(model: FieldModel, quads: Quadratures) -> float:
-    """max over hole-boundary nodes of |u| + |grad u| + |hess u|_F: the measured
-    stand-in for the C^2 norm on hole boundaries."""
-    out = 0.0
-    for bq in quads.bounds.holes:
-        u, grad, hess = evaluate(model, bq.nodes, "ugh")
-        val = (
-            np.abs(u)
-            + np.hypot(grad[:, 0], grad[:, 1])
-            + np.sqrt(np.sum(hess * hess, axis=(1, 2)))
-        )
-        out = max(out, float(np.max(val)))
-    return out
-
-
-def gradient_max_on_tube(model: FieldModel, spec: DomainSpec, r_i: float) -> float:
-    tube, inner = tubular_sets(spec, r_i, r_i)
-    pts = np.vstack([tube.nodes, inner.nodes, spec.boundary_point(np.linspace(0, TWO_PI, 512, endpoint=False))])
-    _, grad, _ = evaluate(model, pts, "g")
-    return float(np.max(np.hypot(grad[:, 0], grad[:, 1])))
 
 
 def psi_c2(K: float, eta: float) -> float:
@@ -647,23 +625,28 @@ def stability_report(
     notes = []
     d_omega = diameter(spec)
     r_i = interior_sphere_radius(spec, d_omega=d_omega)
+    # one field pass per node set: the outer curve, each hole, the layer
     bq = quads.bounds.gamma
     u_nu = normal_derivative(model, bq.nodes, bq.normals)
     gamma_len = float(np.sum(bq.weights))
     c = float(np.sum(u_nu * bq.weights) / gamma_len)
     overdet_dev = float(np.max(np.abs(u_nu - c)))
-
-    u_holes_max = 0.0
-    for bq_h in quads.bounds.holes:
-        u_h = evaluate_u(model, bq_h.nodes)
-        u_holes_max = max(u_holes_max, float(np.max(u_h)))
+    holes = [(bq_h, *evaluate(model, bq_h.nodes, "ugh")) for bq_h in quads.bounds.holes]
+    # the layer of width r_i: its nodes, its inner curve and 512 outer-curve points
+    tube, inner = tubular_sets(spec, r_i, r_i)
+    ring = spec.boundary_point(np.linspace(0, TWO_PI, 512, endpoint=False))
+    want = "ug" if regime == "tubular" else "g"
+    u_layer, grad_layer, _ = evaluate(model, np.vstack([tube.nodes, inner.nodes, ring]), want)
+    M = float(np.max(np.hypot(grad_layer[:, 0], grad_layer[:, 1])))
 
     if regime == "tubular":
-        tube, inner = tubular_sets(spec, r_i, r_i)
-        z, z_inside = adjusted_center(spec, model, tube, (inner,), tube.total)
+        u_inner = u_layer[tube.weights.size : tube.weights.size + inner.n_nodes]
+        z, z_inside = adjusted_center(spec, tube, ((inner, u_inner),), tube.total)
         z_formula = "boundary-layer"
     else:
-        z, z_inside = adjusted_center(spec, model, quads.area, quads.bounds.holes, spec.region_area)
+        z, z_inside = adjusted_center(
+            spec, quads.area, [(bq_h, u) for bq_h, u, _, _ in holes], spec.region_area
+        )
         z_formula = "flux-adjusted-barycenter"
     if z_override is not None:
         z = np.asarray(z_override, dtype=float)
@@ -671,7 +654,7 @@ def stability_report(
         z_formula = "override"
 
     hypotheses = {
-        "u_nonpositive_on_holes": u_holes_max <= 1e-9,
+        "u_nonpositive_on_holes": all(np.max(u) <= 1e-9 for _, u, _, _ in holes),
         "overdetermined": waive_overdetermination or overdet_dev <= tol_overdet,
         "z_inside_domain": z_inside,
     }
@@ -686,8 +669,12 @@ def stability_report(
         rho_e = rho_i = d2 = asym = math.nan
         notes.append("z outside domain: radius/pseudo-distance/asymmetry undefined")
 
-    K = hole_c2_norm(model, quads)
-    M = gradient_max_on_tube(model, spec, r_i)
+    # K, the measured stand-in for the C^2 norm on hole boundaries: the max
+    # over hole nodes of |u| + |grad u| + |hess u|_F
+    K = 0.0
+    for _, u, g, h in holes:
+        val = np.abs(u) + np.hypot(g[:, 0], g[:, 1]) + np.sqrt(np.sum(h * h, axis=(1, 2)))
+        K = max(K, float(np.max(val)))
     perim = spec.holes_perimeter  # the smallness driver eta
     dbar = max((2.0 * h.radius for h in spec.holes), default=0.0)
     psi = psi_c2(K, perim)
@@ -730,6 +717,7 @@ def stability_report(
         tau_exponent=tau,
         hypotheses=hypotheses,
         ratios=ratios,
+        hopf=check_hopf(bq, u_nu, r_i),
         comparison=comparison,
         notes=tuple(notes),
     )

@@ -29,7 +29,6 @@ from torsionlab.geometry import (
     Hole,
     build_boundary_quadrature,
     build_quadratures,
-    diameter,
     interior_sphere_radius,
     random_interior_points,
 )
@@ -60,8 +59,8 @@ from torsionlab.stability import (
     check_growth,
     check_hopf,
     check_oscillation_bound,
-    hole_c2_norm,
     random_harmonic_fields,
+    stability_report,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -102,10 +101,10 @@ def test_criterion_1_exact_radial_identities():
     for rho in (0.1, 0.2, 0.4):
         spec, model = _radial_instance(rho)
         quads = build_quadratures(spec, 256, 48)
-        fundamental = check_fundamental(model, spec, quads)
+        fundamental = check_fundamental(model, quads)
         value_c = check_value_c(model, spec, quads)
         for rep in (
-            check_pohozaev(model, spec, quads),
+            check_pohozaev(model, quads),
             fundamental,
             check_overdetermined(model, 0.5, quads, fundamental, value_c),
         ):
@@ -142,8 +141,8 @@ def test_criterion_3_generic_identity_convergence():
     ok = True
     details = []
     for checker in (check_pohozaev, check_fundamental):
-        rc = checker(model, spec, coarse).rel_residual
-        rf = checker(model, spec, fine).rel_residual
+        rc = checker(model, coarse).rel_residual
+        rf = checker(model, fine).rel_residual
         ok &= rc <= 1e-4 and rf <= rc / 4.0
         details.append(f"{checker.__name__}: {rc:.2e} -> {rf:.2e} (x{rc / max(rf, 1e-300):.0f})")
     report(3, ok, "; ".join(details))
@@ -236,7 +235,7 @@ def test_criterion_6_pointwise_lemmas(overdetermined_family):
         pts = random_interior_points(spec, 10_000, rng)
         growth = check_growth(model, spec, pts, r_i)
         gamma = build_boundary_quadrature(spec, 512).gamma
-        hopf = check_hopf(model, gamma, r_i)
+        hopf = check_hopf(gamma, normal_derivative(model, gamma.nodes, gamma.normals), r_i)
         total_violations += growth.violations + hopf.violations
     report(
         6,
@@ -285,13 +284,12 @@ def test_criterion_8_flux_constant_bracket(overdetermined_family):
         small_instances.append((f"overdet-{eps:g}", inst.spec, inst.model))
     for label, spec, model in small_instances:
         quads = build_quadratures(spec, 256, 48)
-        c = check_value_c(model, spec, quads).lhs / quads.bounds.gamma.arc_length
-        r_i = interior_sphere_radius(spec)
-        table = bound_table(spec, c, hole_c2_norm(model, quads), r_i, diameter(spec))
+        rep = stability_report(spec, model, quads, waive_overdetermination=True)
+        table = bound_table(spec, rep.c, rep.hole_c2_norm, rep.r_i, rep.d_omega)
         assert table.side_condition_small_perimeter, label
         checked += 1
         ok &= bool(table.c_in_bracket)
-        details.append(f"{label}: c={c:.4f} in [{table['c_lower']:.4f}, {table['c_upper_small_hole']:.4f}]")
+        details.append(f"{label}: c={rep.c:.4f} in [{table['c_lower']:.4f}, {table['c_upper_small_hole']:.4f}]")
     report(8, ok and checked >= 5, "; ".join(details))
 
 

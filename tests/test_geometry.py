@@ -347,6 +347,19 @@ def test_distance_to_outer_temporaries_stay_small(free_boundary_spec):
     assert peak - d.nbytes <= 4 * 2**20
 
 
+def test_projection_stops_within_ulps_of_the_angle(monkeypatch):
+    # the 10,000 growth samples of configs/stability_dirichlet.cfg: the
+    # Newton steps near theta = 2 pi shrink to roundoff of a few ulps of
+    # theta, which an absolute stop far below those ulps never accepts
+    spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
+    pts = random_interior_points(spec, 10_000, np.random.default_rng(2))
+    passes = []
+    radii = DomainSpec.radii
+    monkeypatch.setattr(DomainSpec, "radii", lambda s, th: passes.append(th.size) or radii(s, th))
+    spec._distance_to_outer(pts)
+    assert len(passes) <= 5
+
+
 # ---------------------------------------------------------------------------
 # Interior sphere radius, diameter, radii about a point
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_deficit_self_convergence_oracle():
 def _overdetermined(model, spec, c, quads, tol_overdet=1e-6):
     """check_overdetermined on the fundamental and value_c reports of the
     same field and quadratures, as the identities experiment runs it."""
-    fundamental = check_fundamental(model, spec, quads)
+    fundamental = check_fundamental(model, quads)
     value_c = check_value_c(model, spec, quads)
     return check_overdetermined(model, c, quads, fundamental, value_c, tol_overdet)
 
@@ -108,28 +108,28 @@ def test_pohozaev_radial_annulus(rho):
     spec = DomainSpec(1.0, holes=(Hole((0.0, 0.0), rho, (rho**2 - 1) / 4.0),))
     quads = build_quadratures(spec, 256, 48)
     model = radial_model(1.0)
-    rep = check_pohozaev(model, spec, quads)
+    rep = check_pohozaev(model, quads)
     exact = (math.pi / 2.0) * (1.0 - rho**4)  # 4 * integral of |x|^2/4
     assert abs(rep.lhs - exact) <= 1e-12
     assert abs(rep.rhs - exact) <= 1e-12
     assert rep.rel_residual <= 1e-8
 
 
-def test_pohozaev_ball(ball, ball_quads):
+def test_pohozaev_ball(ball_quads):
     model = radial_model(1.0)
-    rep = check_pohozaev(model, ball, ball_quads)
+    rep = check_pohozaev(model, ball_quads)
     assert abs(rep.lhs - math.pi / 2.0) <= 1e-12
     assert rep.rel_residual <= 1e-8
 
 
-def test_fundamental_ball_both_sides_vanish(ball, ball_quads):
+def test_fundamental_ball_both_sides_vanish(ball_quads):
     model = radial_model(1.0)
-    rep = check_fundamental(model, ball, ball_quads)
+    rep = check_fundamental(model, ball_quads)
     assert abs(rep.lhs) <= 1e-9 and abs(rep.rhs) <= 1e-9
 
 
-def test_fundamental_radial_hole_terms_vanish_pointwise(annulus, annulus_quads, annulus_model):
-    rep = check_fundamental(annulus_model, annulus, annulus_quads)
+def test_fundamental_radial_hole_terms_vanish_pointwise(annulus_quads, annulus_model):
+    rep = check_fundamental(annulus_model, annulus_quads)
     for key, val in rep.breakdown.items():
         assert abs(val) <= 1e-9, key
     assert rep.rel_residual <= 1e-9
@@ -158,8 +158,8 @@ def test_generic_dirichlet_residuals_and_convergence():
     coarse = build_quadratures(spec, 64, 12)
     fine = build_quadratures(spec, 128, 24)
     for checker in (check_pohozaev, check_fundamental):
-        r_coarse = checker(model, spec, coarse)
-        r_fine = checker(model, spec, fine)
+        r_coarse = checker(model, coarse)
+        r_fine = checker(model, fine)
         assert r_coarse.rel_residual <= 1e-4
         assert r_fine.rel_residual <= r_coarse.rel_residual / 4.0
 
@@ -173,8 +173,8 @@ def test_identities_with_two_holes():
     )
     model, _ = solve_dirichlet(spec, 96, 1.8)
     quads = build_quadratures(spec, 192, 32)
-    assert check_pohozaev(model, spec, quads).rel_residual <= 1e-4
-    assert check_fundamental(model, spec, quads).rel_residual <= 1e-4
+    assert check_pohozaev(model, quads).rel_residual <= 1e-4
+    assert check_fundamental(model, quads).rel_residual <= 1e-4
     div = check_divergence(spec, quads)
     assert div.rel_residual <= 1e-8
     assert abs(div.breakdown["hole_0"] + math.pi * 0.12**2) <= 1e-10
@@ -185,7 +185,7 @@ def test_fundamental_lhs_nonnegative_when_u_nonpositive():
     spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
     model, _ = solve_dirichlet(spec, 96, 1.8)
     quads = build_quadratures(spec, 128, 24)
-    rep = check_fundamental(model, spec, quads)
+    rep = check_fundamental(model, quads)
     assert rep.lhs >= -1e-12
 
 
@@ -210,8 +210,8 @@ def test_breakdown_sums_to_rhs():
     model, _ = solve_dirichlet(spec, 96, 1.8)
     quads = build_quadratures(spec, 128, 24)
     for rep in (
-        check_pohozaev(model, spec, quads),
-        check_fundamental(model, spec, quads),
+        check_pohozaev(model, quads),
+        check_fundamental(model, quads),
         check_divergence(spec, quads),
     ):
         assert abs(sum(rep.breakdown.values()) - rep.rhs) <= 1e-12
@@ -355,7 +355,7 @@ def test_overdetermined_matches_from_scratch_bitwise(name):
     value_c = check_value_c(model, spec, quads)
     c = value_c.lhs / quads.bounds.gamma.arc_length
     got = check_overdetermined(
-        model, c, quads, check_fundamental(model, spec, quads), value_c, tol
+        model, c, quads, check_fundamental(model, quads), value_c, tol
     )
     want = _overdetermined_from_scratch(model, spec, c, quads, tol)
     assert (got.lhs, got.rhs) == (want.lhs, want.rhs)

@@ -12,21 +12,28 @@ from torsionlab.geometry import (
     DomainSpec,
     Hole,
     build_quadratures,
+    diameter,
+    enclosing_inscribed_radii,
     interior_sphere_radius,
     random_interior_points,
+    symmetric_difference_ratio,
     tubular_sets,
 )
 from torsionlab.harness import load_config
 from torsionlab.identities import check_value_c
 from torsionlab.solver import (
+    evaluate,
     evaluate_u,
+    normal_derivative,
     overdetermined_instance,
     radial_model,
     solve_dirichlet,
 )
 from torsionlab.stability import (
     ExponentTripleError,
+    StabilityReport,
     adjusted_center,
+    asymmetry_vs_pseudo_distance,
     bound_table,
     check_growth,
     check_hopf,
@@ -63,12 +70,13 @@ class HarmonicPoly:
 
 
 def _center(spec, model, quads):
-    return adjusted_center(spec, model, quads.area, quads.bounds.holes, spec.region_area)
+    holes = [(bq, evaluate_u(model, bq.nodes)) for bq in quads.bounds.holes]
+    return adjusted_center(spec, quads.area, holes, spec.region_area)
 
 
 def _center_tubular(spec, model, r_i, n_theta=256, n_s=24):
     tube, inner = tubular_sets(spec, r_i, r_i, n_theta=n_theta, n_s=n_s)
-    return adjusted_center(spec, model, tube, (inner,), tube.total)
+    return adjusted_center(spec, tube, ((inner, evaluate_u(model, inner.nodes)),), tube.total)
 
 
 def test_center_radial_annulus(annulus, annulus_quads, annulus_model):
@@ -197,16 +205,20 @@ def test_growth_property_run(rng):
     assert rep.violations == 0
 
 
+def _hopf(model, gamma, r_i):
+    return check_hopf(gamma, normal_derivative(model, gamma.nodes, gamma.normals), r_i)
+
+
 def test_hopf_ball_saturates(ball, ball_quads):
     model = radial_model(1.0)
     r_i = interior_sphere_radius(ball)
-    rep = check_hopf(model, ball_quads.bounds.gamma, r_i)
+    rep = _hopf(model, ball_quads.bounds.gamma, r_i)
     assert rep.passed
     assert rep.min_slack <= 1e-5  # equality case: u_nu = R/N = r_i/N
 
 
 def test_hopf_annulus(annulus, annulus_quads, annulus_model):
-    rep = check_hopf(annulus_model, annulus_quads.bounds.gamma, 0.4)
+    rep = _hopf(annulus_model, annulus_quads.bounds.gamma, 0.4)
     assert rep.passed
     assert abs(rep.min_slack - 0.3) <= 1e-9  # 0.5 - 0.4/2
 
@@ -215,7 +227,7 @@ def test_hopf_property_run():
     spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
     model, _ = solve_dirichlet(spec, 96, 1.8)
     quads = build_quadratures(spec, 256, 32)
-    rep = check_hopf(model, quads.bounds.gamma, interior_sphere_radius(spec))
+    rep = _hopf(model, quads.bounds.gamma, interior_sphere_radius(spec))
     assert rep.violations == 0
 
 
@@ -520,3 +532,137 @@ def test_report_invariants(annulus, annulus_quads, annulus_model):
     for bq in annulus_quads.bounds.holes:
         assert rep.hole_c2_norm >= float(np.max(np.abs(evaluate_u(annulus_model, bq.nodes))))
     assert rep.rho_e - rep.rho_i <= rep.d_omega + 1e-12
+
+
+def test_stability_point_evaluates_each_node_set_once(monkeypatch):
+    # the report, the growth and the Hopf check of configs/stability_dirichlet.cfg:
+    # one kernel call each for the outer curve, the hole, the boundary layer
+    # (its 256 x 24 nodes, inner curve and 512 outer-curve points) and the
+    # growth samples
+    cfg = load_config(CONFIGS / "stability_dirichlet.cfg")
+    [point] = harness._points(cfg)
+    kernel = _kernels.log_source_fields
+    calls = []
+
+    def counted(points, sources, coeffs, want="ugh"):
+        calls.append((want, len(points)))
+        return kernel(points, sources, coeffs, want)
+
+    monkeypatch.setattr(_kernels, "log_source_fields", counted)
+    harness._stability_point(cfg, point)
+    assert calls == [("g", 256), ("ugh", 128), ("g", 256 * 24 + 256 + 512), ("u", 10_000)]
+
+
+def _report_per_helper(spec, model, quads, regime, waive):
+    """stability_report with each field quantity from its own evaluation, as
+    separate helpers computed them: c on the outer curve, the hole sign, the
+    center's flux term and K each from their own pass over the holes, and
+    the boundary layer and the Hopf check on their own.  The oracle of
+    test_report_equals_per_helper_oracle."""
+    d_omega = diameter(spec)
+    r_i = interior_sphere_radius(spec, d_omega=d_omega)
+    gamma = quads.bounds.gamma
+    u_nu = normal_derivative(model, gamma.nodes, gamma.normals)
+    c = float(np.sum(u_nu * gamma.weights) / float(np.sum(gamma.weights)))
+    overdet_dev = float(np.max(np.abs(u_nu - c)))
+    u_holes_max = 0.0
+    for bq in quads.bounds.holes:
+        u_holes_max = max(u_holes_max, float(np.max(evaluate_u(model, bq.nodes))))
+    if regime == "tubular":
+        (z, inside), formula = _center_tubular(spec, model, r_i), "boundary-layer"
+    else:
+        (z, inside), formula = _center(spec, model, quads), "flux-adjusted-barycenter"
+    assert inside
+    K = 0.0
+    for bq in quads.bounds.holes:
+        u, grad, hess = evaluate(model, bq.nodes, "ugh")
+        val = np.abs(u) + np.hypot(grad[:, 0], grad[:, 1]) + np.sqrt(np.sum(hess * hess, axis=(1, 2)))
+        K = max(K, float(np.max(val)))
+    tube, inner = tubular_sets(spec, r_i, r_i)
+    ring = spec.boundary_point(np.linspace(0, TWO_PI, 512, endpoint=False))
+    _, grad, _ = evaluate(model, np.vstack([tube.nodes, inner.nodes, ring]), "g")
+    rho_e, rho_i = enclosing_inscribed_radii(spec, z)
+    d2 = pseudo_distance(gamma, z, c)
+    asym = symmetric_difference_ratio(spec, z, 2.0 * c)
+    perim = spec.holes_perimeter
+    psi = max(K, K**3) * perim
+    ratios = {
+        "pseudo_distance_over_perimeter": d2 / perim,
+        "asymmetry_over_sqrt_perimeter": asym / math.sqrt(perim),
+        "radius_gap_over_perimeter_pow": (rho_e - rho_i) / perim**0.5,
+        "pseudo_distance_over_psi": d2 / psi,
+        "asymmetry_over_sqrt_psi": asym / math.sqrt(psi),
+        "radius_gap_over_psi_pow": (rho_e - rho_i) / psi**0.5,
+    }
+    return StabilityReport(
+        label="",
+        regime=regime,
+        z=(float(z[0]), float(z[1])),
+        z_formula=formula,
+        c=c,
+        rho_e=rho_e,
+        rho_i=rho_i,
+        pseudo_distance=d2,
+        asymmetry=asym,
+        r_i=r_i,
+        d_omega=d_omega,
+        grad_max_tube=float(np.max(np.hypot(grad[:, 0], grad[:, 1]))),
+        hole_c2_norm=K,
+        holes_perimeter=perim,
+        holes_diameter_sup=max(2.0 * h.radius for h in spec.holes),
+        eta=perim,
+        psi_eta=psi,
+        tau_exponent=1.0,
+        hypotheses={
+            "u_nonpositive_on_holes": u_holes_max <= 1e-9,
+            "overdetermined": waive or overdet_dev <= 1e-6,
+            "z_inside_domain": inside,
+        },
+        ratios=ratios,
+        hopf=_hopf(model, gamma, r_i),
+        comparison=asymmetry_vs_pseudo_distance(spec, z, c, d2, asym, r_i, d_omega, rho_e, rho_i),
+        notes=(f"overdetermination waived (measured deviation {overdet_dev:.3e})",) if waive else (),
+    )
+
+
+def _two_hole_field():
+    spec = DomainSpec(
+        1.0,
+        ((2, 0.05),),
+        (Hole((0.4, 0.0), 0.12, -0.05), Hole((-0.35, 0.2), 0.1, -0.02)),
+    )
+    return spec, solve_dirichlet(spec, 96, 1.8)[0], 192, 32
+
+
+def _free_boundary_field(eps):
+    inst = overdetermined_instance(eps)
+    return inst.spec, inst.model, 256, 48
+
+
+@pytest.mark.parametrize(
+    "field,regime,waive",
+    [
+        (lambda: _free_boundary_field(0.02), "tubular", False),
+        (_two_hole_field, "sphere-condition", True),
+        (lambda: _free_boundary_field(0.005), "sphere-condition", False),
+    ],
+    ids=["tubular-eps-0.02", "two-holes", "eps-0.005"],
+)
+def test_report_equals_per_helper_oracle(field, regime, waive):
+    # no shipped config runs these paths: every field, the Hopf report and
+    # the comparison are the oracle's floats bit for bit (repr round-trips)
+    spec, model, n_theta, n_r = field()
+    quads = build_quadratures(spec, n_theta, n_r)
+    rep = stability_report(spec, model, quads, regime=regime, waive_overdetermination=waive)
+    assert repr(rep) == repr(_report_per_helper(spec, model, quads, regime, waive))
+
+
+def test_report_json_stability_entry_keys(annulus, annulus_quads, annulus_model):
+    # report.json's per-point "stability" entry leaves out the Hopf check and
+    # the comparison, which reach it as the "hopf" entry and an assertion
+    rep = stability_report(annulus, annulus_model, annulus_quads)
+    assert list(harness._report_from_stability(rep)) == [
+        "label", "regime", "z", "z_formula", "c", "rho_e", "rho_i", "pseudo_distance",
+        "asymmetry", "r_i", "d_omega", "grad_max_tube", "hole_c2_norm", "holes_perimeter",
+        "holes_diameter_sup", "eta", "psi_eta", "tau_exponent", "hypotheses", "ratios", "notes",
+    ]
