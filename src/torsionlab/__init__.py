@@ -40,6 +40,7 @@ from .identities import (
     check_pohozaev,
     check_value_c,
     p_function,
+    sample_field,
 )
 from .shapeflow import energy, flow_to_constant_flux, shape_gradient
 from .solver import (

@@ -43,6 +43,7 @@ from .identities import (
     check_overdetermined,
     check_pohozaev,
     check_value_c,
+    sample_field,
 )
 from .shapeflow import final_roundness, flow_to_constant_flux, roundness_gap
 from .solver import (
@@ -449,12 +450,13 @@ def _report_from_stability(rep):
 def run_identities(cfg: ScenarioConfig):
     spec, model, _ = _build_field(cfg, _build_spec(cfg))
     quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
-    value_c = check_value_c(model, spec, quads)
-    fundamental = check_fundamental(model, quads)
+    area, gamma, holes = sample_field(model, quads)
+    value_c = check_value_c(spec, gamma, holes)
+    fundamental = check_fundamental(area, gamma, holes)
     reports = [
-        check_divergence(spec, quads),
+        check_divergence(spec, gamma, holes),
         value_c,
-        check_pohozaev(model, quads),
+        check_pohozaev(area, gamma, holes),
         fundamental,
     ]
     # c is the outer-curve flux over |Gamma|; the identity's other side over
@@ -464,7 +466,7 @@ def run_identities(cfg: ScenarioConfig):
     mismatch = abs(from_divergence - c)
     if cfg.field_kind != "dirichlet":  # every other kind has u_nu = c on Gamma
         reports.append(
-            check_overdetermined(model, c, quads, fundamental, value_c, cfg.overdet_tol)
+            check_overdetermined(gamma, holes, c, fundamental, value_c, cfg.overdet_tol)
         )
     assertions = []
     for rep in reports:

@@ -4,7 +4,7 @@ Each check computes the two sides of an identity along independent code
 paths: left-hand sides use the area quadrature together with analytic
 gradients/Hessians, right-hand sides use boundary quadratures only.  The
 reported residual is therefore a genuine discretization/solver diagnostic,
-not a tautology.
+not a tautology.  The checks read sample_field's arrays, one pass per node set.
 
 Sign convention, fixed once: the normal on hole boundaries points out of the
 working region, i.e. into the hole; check_divergence guards the orientation
@@ -58,6 +58,13 @@ def p_function(model: FieldModel, pts):
     return float(out[0]) if np.asarray(pts).ndim == 1 else out
 
 
+def _deficit(hess):
+    """|hess|_F^2 - (trace hess)^2 / N at each point of an (n, 2, 2) array."""
+    frob = np.sum(hess * hess, axis=(1, 2))
+    lap = hess[:, 0, 0] + hess[:, 1, 1]
+    return frob - lap * lap / N_DIM
+
+
 def cauchy_schwarz_deficit(model: FieldModel, pts):
     """|hess u|_F^2 - (lap u)^2 / N >= 0; zero exactly for the radial field.
 
@@ -66,9 +73,7 @@ def cauchy_schwarz_deficit(model: FieldModel, pts):
     """
     single = np.asarray(pts).ndim == 1
     _, _, hess = evaluate(model, np.atleast_2d(np.asarray(pts, dtype=float)), "h")
-    frob = np.sum(hess * hess, axis=(1, 2))
-    lap = hess[:, 0, 0] + hess[:, 1, 1]
-    out = frob - lap * lap / N_DIM
+    out = _deficit(hess)
     if np.min(out) < -1e-12:
         raise ArithmeticError(
             f"negative Cauchy-Schwarz deficit {np.min(out):.3e}: Hessian inconsistency"
@@ -76,10 +81,10 @@ def cauchy_schwarz_deficit(model: FieldModel, pts):
     return float(out[0]) if single else out
 
 
-def _boundary_fields(model, bq, want):
-    """Boundary integrand pieces from the field parts in want ("g" at least);
-    u is None unless want has "u", hess_grad_nu None unless it has "h"."""
-    u, grad, hess = evaluate(model, bq.nodes, want)
+def _boundary_fields(bq, u, grad, hess):
+    """(bq, u, u_nu, x_nu, x_grad, grad2, hess_grad_nu): the boundary
+    integrand pieces from the field parts on bq's nodes; u and hess_grad_nu
+    are None where u and hess are."""
     u_nu = np.sum(grad * bq.normals, axis=1)
     x_nu = np.sum(bq.nodes * bq.normals, axis=1)
     x_grad = np.sum(bq.nodes * grad, axis=1)
@@ -88,15 +93,27 @@ def _boundary_fields(model, bq, want):
     if hess is not None:
         hess_grad = np.einsum("nij,nj->ni", hess, grad)
         hess_grad_nu = np.sum(hess_grad * bq.normals, axis=1)
-    return u, grad, u_nu, x_nu, x_grad, grad2, hess_grad_nu
+    return bq, u, u_nu, x_nu, x_grad, grad2, hess_grad_nu
 
 
-def check_divergence(spec: DomainSpec, quads: Quadratures) -> IdentityReport:
+def sample_field(model: FieldModel, quads: Quadratures):
+    """(area, gamma, holes), the identity checks' input, from one pass per node
+    set: area is (quads.area, u, grad, hess); gamma ("g") and each hole
+    ("ugh") are _boundary_fields pieces."""
+    area = (quads.area, *evaluate(model, quads.area.nodes, "ugh"))
+    bq = quads.bounds.gamma
+    gamma = _boundary_fields(bq, *evaluate(model, bq.nodes, "g"))
+    holes = tuple(
+        _boundary_fields(bq, *evaluate(model, bq.nodes, "ugh")) for bq in quads.bounds.holes
+    )
+    return area, gamma, holes
+
+
+def check_divergence(spec: DomainSpec, gamma, holes) -> IdentityReport:
     """Per-component divergence identity: sum of <x, nu>/N over all boundary
     components equals the region area; guards the hole normal orientation."""
     breakdown = {}
-    for bq in quads.bounds.all():
-        x_nu = np.sum(bq.nodes * bq.normals, axis=1)
+    for bq, _, _, x_nu, _, _, _ in (gamma, *holes):
         breakdown[bq.component] = float(np.sum(x_nu / N_DIM * bq.weights))
     return IdentityReport(
         identity="divergence_x",
@@ -106,17 +123,14 @@ def check_divergence(spec: DomainSpec, quads: Quadratures) -> IdentityReport:
     )
 
 
-def check_pohozaev(model: FieldModel, quads: Quadratures) -> IdentityReport:
+def check_pohozaev(area, gamma, holes) -> IdentityReport:
     """Rellich-Pohozaev identity: (N+2) * integral |grad u|^2 against the
     boundary form with its hole correction terms."""
-    _, grad, _ = evaluate(model, quads.area.nodes, "g")
-    lhs = (N_DIM + 2.0) * float(np.sum(np.sum(grad * grad, axis=1) * quads.area.weights))
-    breakdown = {}
-    bq = quads.bounds.gamma
-    _, _, u_nu, x_nu, _, _, _ = _boundary_fields(model, bq, "g")
-    breakdown["gamma"] = float(np.sum(x_nu * u_nu**2 * bq.weights))
-    for bq in quads.bounds.holes:
-        u, _, u_nu, x_nu, x_grad, grad2, _ = _boundary_fields(model, bq, "ug")
+    aq, _, grad, _ = area
+    lhs = (N_DIM + 2.0) * float(np.sum(np.sum(grad * grad, axis=1) * aq.weights))
+    bq, _, u_nu, x_nu, _, _, _ = gamma
+    breakdown = {"gamma": float(np.sum(x_nu * u_nu**2 * bq.weights))}
+    for bq, u, u_nu, x_nu, x_grad, grad2, _ in holes:
         integrand = (
             u * u_nu
             - x_nu * u / N_DIM
@@ -129,20 +143,15 @@ def check_pohozaev(model: FieldModel, quads: Quadratures) -> IdentityReport:
     )
 
 
-def check_fundamental(model: FieldModel, quads: Quadratures) -> IdentityReport:
+def check_fundamental(area, gamma, holes) -> IdentityReport:
     """Weighted Cauchy-Schwarz-deficit identity, no overdetermination assumed:
     integral of (-u) * 2 * deficit equals the outer-curve cubic term plus the
     hole corrections."""
-    u, _, hess = evaluate(model, quads.area.nodes, "uh")
-    frob = np.sum(hess * hess, axis=(1, 2))
-    lap = hess[:, 0, 0] + hess[:, 1, 1]
-    deficit = frob - lap * lap / N_DIM
-    lhs = float(np.sum((-u) * 2.0 * deficit * quads.area.weights))
-    bq = quads.bounds.gamma
-    _, _, u_nu, x_nu, _, _, _ = _boundary_fields(model, bq, "g")
+    aq, u, _, hess = area
+    lhs = float(np.sum((-u) * 2.0 * _deficit(hess) * aq.weights))
+    bq, _, u_nu, x_nu, _, _, _ = gamma
     breakdown = {"gamma": float(np.sum(u_nu**2 * (u_nu - x_nu / N_DIM) * bq.weights))}
-    for bq in quads.bounds.holes:
-        u, _, u_nu, x_nu, x_grad, grad2, hess_grad_nu = _boundary_fields(model, bq, "ugh")
+    for bq, u, u_nu, x_nu, x_grad, grad2, hess_grad_nu in holes:
         breakdown[f"{bq.component}:u"] = float(
             np.sum(2.0 * u * (x_nu / N_DIM - u_nu) * bq.weights)
         )
@@ -160,9 +169,9 @@ def check_fundamental(model: FieldModel, quads: Quadratures) -> IdentityReport:
 
 
 def check_overdetermined(
-    model: FieldModel,
+    gamma,
+    holes,
     c: float,
-    quads: Quadratures,
     fundamental: IdentityReport,
     value_c: IdentityReport,
     tol_overdet: float = 1e-6,
@@ -173,17 +182,16 @@ def check_overdetermined(
     beyond tol_overdet.
 
     fundamental and value_c are check_fundamental's and check_value_c's
-    reports on the same field and quadratures: the left side and the hole
-    u/grad terms are fundamental's, and the flux identity's residual (value_c
-    lhs - rhs) is stored in the extras under 'flux_identity_residual'.
+    reports on the same samples: the left side and the hole u/grad terms are
+    fundamental's, and the flux identity's residual (value_c lhs - rhs) is
+    stored in the extras under 'flux_identity_residual'.
     """
-    _, _, u_nu, _, _, _, _ = _boundary_fields(model, quads.bounds.gamma, "g")
+    _, _, u_nu, _, _, _, _ = gamma
     deviation = float(np.max(np.abs(u_nu - c)))
     if deviation > tol_overdet:
         raise OverdeterminationError(deviation, tol_overdet)
     breakdown = {}
-    for bq in quads.bounds.holes:
-        _, _, u_nu_h, x_nu_h, _, _, _ = _boundary_fields(model, bq, "g")
+    for bq, _, u_nu_h, x_nu_h, _, _, _ in holes:
         breakdown[f"{bq.component}:c2"] = c * c * float(
             np.sum((x_nu_h / N_DIM - u_nu_h) * bq.weights)
         )
@@ -200,17 +208,15 @@ def check_overdetermined(
     )
 
 
-def check_value_c(model: FieldModel, spec: DomainSpec, quads: Quadratures) -> IdentityReport:
+def check_value_c(spec: DomainSpec, gamma, holes) -> IdentityReport:
     """The flux identity fixing the overdetermined constant:
     integral_Gamma u_nu dS = |Omega| - |omega| - integral_hole u_nu dS,
     with the left side from the outer-curve flux and the right side from the
     closed-form areas plus the hole flux."""
-    bq = quads.bounds.gamma
-    _, _, u_nu, _, _, _, _ = _boundary_fields(model, bq, "g")
+    bq, _, u_nu, _, _, _, _ = gamma
     lhs = float(np.sum(u_nu * bq.weights))
     breakdown = {"region_area": spec.region_area}
-    for bq_h in quads.bounds.holes:
-        _, _, u_nu_h, _, _, _, _ = _boundary_fields(model, bq_h, "g")
+    for bq_h, _, u_nu_h, _, _, _, _ in holes:
         breakdown[bq_h.component] = -float(np.sum(u_nu_h * bq_h.weights))
     return IdentityReport(
         identity="value_c", lhs=lhs, rhs=sum(breakdown.values()), breakdown=breakdown

@@ -111,21 +111,6 @@ def shape_gradient(spec: DomainSpec, v_coeffs: dict, mode_basis: tuple = ()) -> 
     )
 
 
-def perturb_radially(spec: DomainSpec, v_n_fn, t: float) -> DomainSpec:
-    """The domain flowed for time t along the normal velocity v_n_fn(theta):
-    realized as the radial update r += t * v_n / <nu, e_r> at 1024 angles,
-    refit to the first 24 cosine modes.  Exact at t=0 in the initial
-    velocity, so central differences of smooth functionals converge at
-    O(t^2)."""
-    theta = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
-    r = spec.radius(theta)
-    normals = spec.boundary_normal(theta)
-    e_r = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    cosf = np.sum(normals * e_r, axis=1)
-    r_new = r + t * np.asarray(v_n_fn(theta)) / cosf
-    return _cosine_fit(r_new, 24)
-
-
 def _cosine_fit(r_values, n_modes) -> DomainSpec:
     n = r_values.size
     fc = np.fft.rfft(r_values) / n

@@ -192,7 +192,7 @@ def check_oscillation_bound(
 ) -> OscillationReport:
     """Oscillation of a harmonic field on the outer curve against its L^p bulk
     deviation, with the explicit constants; applies only under the smallness
-    condition.
+    condition.  v_model has HarmonicField's fields(pts, want) method.
 
     variant="mean" measures the deviation from the mean over the whole region;
     variant="refined" measures ||v - mean||_p over the interior ball of
@@ -201,14 +201,14 @@ def check_oscillation_bound(
     boundary layer, inflated by 5% so it is a genuine upper bound rather than
     a discrete undershoot.
     """
-    u_gamma, _ = _eval(v_model, quads.bounds.gamma.nodes, "u")
+    u_gamma, _ = v_model.fields(quads.bounds.gamma.nodes, "u")
     lhs = float(np.max(u_gamma) - np.min(u_gamma))
     tube, inner = tubular_sets(spec, r_i, r_i)
     grad_pts = np.vstack([tube.nodes, quads.bounds.gamma.nodes, inner.nodes])
-    _, gv = _eval(v_model, grad_pts, "g")
+    _, gv = v_model.fields(grad_pts, "g")
     G = 1.05 * float(np.max(np.hypot(gv[:, 0], gv[:, 1])))
     a_const, alpha_const = oscillation_constants(N_DIM, p)
-    v_area, _ = _eval(v_model, quads.area.nodes, "u")
+    v_area, _ = v_model.fields(quads.area.nodes, "u")
     v_mean = float(np.sum(v_area * quads.area.weights) / quads.area.total)
 
     if variant == "mean":
@@ -222,7 +222,7 @@ def check_oscillation_bound(
         nu_bar = quads.bounds.gamma.normals[i_ext]
         x0 = x_bar - r_i * nu_bar
         nodes, weights = _disk_quadrature(x0, r_i)
-        vals, _ = _eval(v_model, nodes, "u")
+        vals, _ = v_model.fields(nodes, "u")
         norm = float(np.sum(np.abs(vals - v_mean) ** p * weights) ** (1.0 / p))
         r_eff = r_i
     else:
@@ -243,16 +243,6 @@ def check_oscillation_bound(
         alpha_const=alpha_const,
         variant=variant,
     )
-
-
-def _eval(v_model, pts, want):
-    """(u, grad) of a HarmonicField, or of any object with .u and .grad
-    methods; parts not in want ("u", "g" or "ug") are None."""
-    if isinstance(v_model, HarmonicField):
-        return v_model.fields(pts, want)
-    u = v_model.u(pts) if "u" in want else None
-    grad = v_model.grad(pts) if "g" in want else None
-    return u, grad
 
 
 @dataclass(frozen=True)
@@ -383,7 +373,7 @@ def poincare_ratio_experiment(
     gims = [(delta**alpha) if alpha else np.ones_like(w) for _, _, alpha in triples]
     ratios = [[] for _ in triples]
     for f in fields:
-        v, g = _eval(f, quads.area.nodes, "ug")
+        v, g = f.fields(quads.area.nodes, "ug")
         v_mean = float(np.sum(v * w) / quads.area.total)
         for (r, p, _), gim, out in zip(triples, gims, ratios):
             num = float(np.sum(np.abs(v - v_mean) ** r * w) ** (1.0 / r))

@@ -20,7 +20,7 @@ from torsionlab.geometry import (
     tubular_sets,
 )
 from torsionlab.harness import load_config
-from torsionlab.identities import check_value_c
+from torsionlab.identities import check_value_c, sample_field
 from torsionlab.solver import (
     evaluate,
     evaluate_u,
@@ -55,13 +55,11 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 class HarmonicPoly:
     """v = Re((x + iy)^2) = x^2 - y^2, a closed-form harmonic test field."""
 
-    def u(self, pts):
+    def fields(self, pts, want):
         pts = np.atleast_2d(pts)
-        return pts[:, 0] ** 2 - pts[:, 1] ** 2
-
-    def grad(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.stack([2.0 * pts[:, 0], -2.0 * pts[:, 1]], axis=-1)
+        u = pts[:, 0] ** 2 - pts[:, 1] ** 2 if "u" in want else None
+        grad = np.stack([2.0 * pts[:, 0], -2.0 * pts[:, 1]], axis=-1) if "g" in want else None
+        return u, grad
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +242,10 @@ def test_oscillation_constants_exact_values():
 
 def test_oscillation_constant_field(annulus, annulus_quads):
     class Const:
-        def u(self, pts):
-            return np.full(np.atleast_2d(pts).shape[0], 3.7)
-
-        def grad(self, pts):
-            return np.zeros((np.atleast_2d(pts).shape[0], 2))
+        def fields(self, pts, want):
+            n = np.atleast_2d(pts).shape[0]
+            grad = np.zeros((n, 2)) if "g" in want else None
+            return (np.full(n, 3.7) if "u" in want else None), grad
 
     rep = check_oscillation_bound(Const(), annulus, annulus_quads, 0.4, p=2.0)
     assert rep.applicable  # 0 <= 0
@@ -310,11 +307,10 @@ def test_triple_validation_cases():
 
 def test_poincare_constant_field_ratio_zero(annulus, annulus_quads):
     class Const:
-        def u(self, pts):
-            return np.ones(np.atleast_2d(pts).shape[0])
-
-        def grad(self, pts):
-            return np.zeros((np.atleast_2d(pts).shape[0], 2))
+        def fields(self, pts, want):
+            n = np.atleast_2d(pts).shape[0]
+            grad = np.zeros((n, 2)) if "g" in want else None
+            return (np.ones(n) if "u" in want else None), grad
 
     (rep,) = poincare_ratio_experiment(
         annulus, annulus_quads, [(2, 2, 0.5)], fields=[Const()], r_i=0.4, d_omega=2.0
@@ -521,7 +517,8 @@ def test_report_c_is_the_value_c_flux_over_arc_length():
     for spec, model in ((spec, model), (inst.spec, inst.model)):
         quads = build_quadratures(spec, 256, 48)
         rep = stability_report(spec, model, quads, waive_overdetermination=True)
-        assert rep.c == check_value_c(model, spec, quads).lhs / quads.bounds.gamma.arc_length
+        value_c = check_value_c(spec, *sample_field(model, quads)[1:])
+        assert rep.c == value_c.lhs / quads.bounds.gamma.arc_length
 
 
 def test_report_invariants(annulus, annulus_quads, annulus_model):
