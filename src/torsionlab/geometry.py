@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -210,10 +211,35 @@ class DomainSpec:
     # -- membership -------------------------------------------------------
 
     def _inside_outer(self, pts):
+        """rho < r(theta) for the polar coordinates of each point.  Only
+        points within the band m of the radius r_j at the seed nearest theta
+        (``_band``) evaluate the series; the rest are decided by r_j -+ m,
+        which bound the computed r(theta)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rho = np.hypot(pts[:, 0], pts[:, 1])
         theta = np.arctan2(pts[:, 1], pts[:, 0])
-        return rho < self.radius(theta)
+        seed_r, band = self._band
+        n = seed_r.size
+        r = seed_r[np.rint(theta * (n / TWO_PI)).astype(np.intp) % n]
+        inside = rho < r - band
+        near = ~inside & (rho < r + band)
+        inside[near] = rho[near] < self.radius(theta[near])
+        return inside
+
+    @cached_property
+    def _band(self):
+        """(r_j, m): the outer radius at the 720 seed angles of ``_seeds``,
+        and the half-width m of ``_inside_outer``'s band about it.  With L =
+        R sum k |eps_k| a bound on |r'|, |r(theta) - r(theta_j)| <= L pi /
+        720 within half a seed step of theta_j, and 64 eps (n + 1)(1 + sum k
+        |eps_k|) R, for n modes, exceeds the rounding of both series (each
+        cos(k theta) within 2 pi k + 4 ulps, each of the n + 1 sums and
+        products within an ulp of R (1 + sum |eps_k|)), of the angle's
+        distance to its seed, and of r_j -+ m."""
+        theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
+        bend = sum(k * abs(e) for k, e in self.fourier_modes)
+        rounding = 64.0 * np.finfo(float).eps * (len(self.fourier_modes) + 1) * (1.0 + bend)
+        return self.radius(theta), self.outer_radius * (bend * math.pi / theta.size + rounding)
 
     def _in_any_hole_closed(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -230,62 +256,115 @@ class DomainSpec:
 
     @cached_property
     def _seeds(self):
-        """The 720 equispaced seed angles of ``_distance_to_outer``; the x and
-        y of their curve points and the seed indices, each tiled twice so any
-        run of cyclically consecutive seeds is one contiguous slice; and the
-        least and greatest seed radius."""
+        """The seed table (``_SeedTable``) of the 720 equispaced seed angles.
+
+        The frame centre c is the midpoint of the seed points' bounding box
+        when the seeds are star-shaped about it (their polar angles about c
+        increase from each seed to the next, seed 719 to seed 0 included, so
+        the unwrapped angles span less than 2 pi) and their greatest-to-least
+        radius ratio about it is below the one about the origin; otherwise c
+        is the origin.  The free-boundary curves are near-circles about a
+        centre off the origin.
+        """
         theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
-        bp = self.boundary_point(theta)
-        r = np.hypot(bp[:, 0], bp[:, 1])
-        index = np.arange(theta.size, dtype=np.int16)
-        return (
-            theta,
-            np.tile(bp[:, 0], 2),
-            np.tile(bp[:, 1], 2),
-            np.tile(index, 2),
-            float(np.min(r)),
-            float(np.max(r)),
+        terms = self._terms(theta)
+        r, cos, sin = terms[0], terms[3], terms[4]
+        x, y = r * cos, r * sin  # boundary_point(theta) bit for bit
+        centre = (0.5 * float(np.min(x) + np.max(x)), 0.5 * float(np.min(y) + np.max(y)))
+        frame = _polar_frame(x, y, 0.0, 0.0)
+        moved = _polar_frame(x, y, *centre)
+        gaps = np.diff(moved[0], append=moved[0][0] + TWO_PI)
+        if np.all(gaps > 0.0) and moved[2] / moved[1] < frame[2] / frame[1]:
+            frame = moved
+        else:
+            centre = (0.0, 0.0)
+        angle, r_min, r_max = frame
+        # one turn of bin edges, 8 per seed step, from below -3 pi, the least
+        # arctan2 angle less a half-width of pi; the origin frame's seeds are
+        # mid-bin
+        bins = 8 * theta.size
+        width = TWO_PI / bins
+        edge = -1.5 * TWO_PI - 0.5 * width
+        tiled = np.concatenate([angle + k * TWO_PI for k in range(-3, 2)])
+        rank = np.searchsorted(tiled, edge + width * np.arange(bins)) - 3 * theta.size
+        return _SeedTable(
+            theta=theta,
+            terms=terms,
+            x=np.tile(x, 2),
+            y=np.tile(y, 2),
+            index=np.tile(np.arange(theta.size, dtype=np.int16), 2),
+            centre=centre,
+            edge=edge,
+            bin=width,
+            rank=rank.astype(np.int16),
+            r_min=r_min,
+            r_max=r_max,
         )
+
+    def _terms(self, theta):
+        """(r, r', r'', cos, sin) at the angles theta: what a ``_project``
+        pass reads of the curve."""
+        return (*self.radii(theta), np.cos(theta), np.sin(theta))
 
     def _seed_windows(self, x, y):
         """(first, width): for each point the first seed index (mod 720) and
         the number of cyclically consecutive seeds that hold its nearest seed.
 
-        The seed at the point's polar angle, at squared distance D^2, bounds
-        the nearest seed's distance by D.  A seed at angle phi + t and radius
-        r in [r_min, r_max] lies within D of p (rho = |p|, polar angle phi)
-        only if cos t >= (r^2 + rho^2 - D^2) / (2 r rho); the right side is
-        least at r_c = clip(sqrt(rho^2 - D^2), r_min, r_max), and its arccos
-        is the window's half-width w.  D^2 is widened by 16 eps (rho +
-        r_max)^2, more than the rounding of the squared distances and of the
-        cosine's numerator, which cancels near the origin; the window's ends
-        are rounded outward to whole seeds, which absorbs the error of the
-        angles.  So every seed whose computed squared distance can reach the
-        computed D^2 is inside.  Where the bound gives nothing (w >= pi, or p
-        at the origin) the window is all 720 seeds.
+        Radii and angles are taken about the frame centre c (``_seeds``),
+        about which the seed angles increase around one turn, so the seeds
+        within an arc of angle about c are a cyclic run of indices.  The
+        nearer of two seeds next to the point's angle, at squared distance
+        D^2, bounds the nearest seed's distance by D.  A seed at angle phi +
+        t and radius r in [r_min, r_max] lies within D of p (rho = |p - c|,
+        angle phi about c) only if cos t >= (r^2 + rho^2 - D^2) / (2 r rho);
+        the right side is least at r_c = clip(sqrt(rho^2 - D^2), r_min,
+        r_max), and its arccos is the window's half-width w.  D^2 is
+        widened by 16 eps (rho + r_max)^2, more than the rounding of the
+        squared distances (relative to themselves, and at most (rho +
+        r_max)^2), of the radii about c, and of the cosine's numerator, which
+        cancels near c.  w is widened by 1e-7, more than the rounding of the
+        quotient and its arccos (at most sqrt(6 eps), 2.6e-8, where w is near
+        0 or pi) and of the angles (a few ulps of 4 pi).  The window's ends
+        are then rounded outward to bin edges, 8 bins a seed step (``rank``
+        holds the first seed at or above each edge).  So it holds every seed
+        whose computed squared distance can reach the computed D^2.  Where
+        the bound gives nothing (w = pi, or p at c) the window is all 720
+        seeds.
         """
-        seeds, sx, sy, _, r_min, r_max = self._seeds
-        step = TWO_PI / seeds.size
-        rho = np.hypot(x, y)
-        at = np.arctan2(y, x) / step  # polar angle in seed steps
-        near = np.rint(at).astype(np.intp) % seeds.size
-        d2 = (x - sx[near]) ** 2 + (y - sy[near]) ** 2
-        d2 += 16.0 * np.finfo(float).eps * (rho + r_max) ** 2
-        rc = np.clip(np.sqrt(np.maximum(rho * rho - d2, 0.0)), r_min, r_max)
+        seeds = self._seeds
+        n = seeds.theta.size
+        dx, dy = x - seeds.centre[0], y - seeds.centre[1]
+        rho = np.hypot(dx, dy)
+        phi = np.arctan2(dy, dx)
+
+        def rank(angle, above=0):  # first seed (index mod n) at or above a bin edge
+            turn, at = np.divmod(
+                ((angle - seeds.edge) / seeds.bin).astype(np.intp) + above, seeds.rank.size
+            )
+            return seeds.rank[at] + n * turn
+
+        near = rank(phi)  # the first seed at or above phi's bin, and near - 1 below it
+        d2 = np.minimum(
+            (x - seeds.x[near]) ** 2 + (y - seeds.y[near]) ** 2,
+            (x - seeds.x[near - 1]) ** 2 + (y - seeds.y[near - 1]) ** 2,
+        )
+        d2 += 16.0 * np.finfo(float).eps * (rho + seeds.r_max) ** 2
+        rc = np.clip(np.sqrt(np.maximum(rho * rho - d2, 0.0)), seeds.r_min, seeds.r_max)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             cos_w = (rc * rc + rho * rho - d2) / (2.0 * rc * rho)
-        half = np.arccos(np.where(cos_w > -1.0, np.minimum(cos_w, 1.0), -1.0)) / step
-        first = np.floor(at - half).astype(np.intp)
-        width = np.minimum(np.ceil(at + half).astype(np.intp) + 1 - first, seeds.size)
-        return first % seeds.size, width
+        half = np.arccos(np.where(cos_w > -1.0, np.minimum(cos_w, 1.0), -1.0)) + 1e-7
+        first = rank(phi - half)
+        last = rank(phi + half, 1) - 1
+        return first % n, np.minimum(last + 1 - first, n)
 
     def _distance_to_outer(self, pts):
         """Distance from points to the outer curve: each point starts from its
         nearest seed (``_nearest_seed``) and is projected onto the curve by
-        ``_project``."""
+        ``_project``, whose first pass reads the seed table."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        theta = self._seeds[0][self._nearest_seed(pts)]
-        return np.hypot(*(pts - self.boundary_point(self._project(pts, theta))).T)
+        seeds = self._seeds
+        theta = self._project(pts, self._nearest_seed(pts), seeds.theta, seeds.terms)
+        return np.hypot(*(pts - self.boundary_point(theta)).T)
 
     def _nearest_seed(self, pts):
         """Index of each point's nearest of the 720 seeds, the lowest index
@@ -296,7 +375,8 @@ class DomainSpec:
         through widest first, in row blocks of about BLOCK_PAIRS point-seed
         pairs.
         """
-        seeds, sx, sy, index, _, _ = self._seeds
+        seeds = self._seeds
+        sx, sy, index = seeds.x, seeds.y, seeds.index
         x, y = pts[:, 0], pts[:, 1]
         first, width = self._seed_windows(x, y)
         order = np.argsort(-width, kind="stable")  # a block reads its first row's width
@@ -313,23 +393,24 @@ class DomainSpec:
             # the lowest index among the minima, not the first in the window:
             # a window across seed 0 lists 719 before 0
             tied = d2 == np.min(d2, axis=1, keepdims=True)
-            ids = np.where(tied, sliding_window_view(index, k)[start], seeds.size)
+            ids = np.where(tied, sliding_window_view(index, k)[start], seeds.theta.size)
             nearest[rows] = np.min(ids, axis=1)
         return nearest
 
-    def _project(self, pts, theta):
+    def _project(self, pts, start, angles, terms):
         """Foot-point angles on the outer curve: Newton steps on the
-        stationarity of |x(theta) - p|^2 from the starting angles theta (a
-        nearest or farthest sample), each clipped to 0.5; every point stops on
-        its own |step| < 16 eps max(1, |theta|), a few ulps of its angle, after
-        at most 40 steps, and at once where the Newton denominator |h| < 1e-14
-        (p at a centre of curvature, where every angle is a foot point)."""
-        theta = np.array(theta, dtype=float)
+        stationarity of |x(theta) - p|^2 from the starting angles
+        angles[start] (a nearest or farthest sample), each clipped to 0.5;
+        every point stops on its own |step| < 16 eps max(1, |theta|), a few
+        ulps of its angle, after at most 40 steps, and at once where the
+        Newton denominator |h| < 1e-14 (p at a centre of curvature, where
+        every angle is a foot point).  ``terms`` is ``_terms(angles)``: the
+        first pass reads it at start, elementwise the same floats."""
+        theta = angles[start]
         active = np.arange(theta.size)  # points still taking Newton steps
-        for _ in range(40):
+        for n in range(40):
             th, p = theta[active], pts[active]
-            r, rp, rpp = self.radii(th)
-            cos, sin = np.cos(th), np.sin(th)
+            r, rp, rpp, cos, sin = [t[start] for t in terms] if n == 0 else self._terms(th)
             t1 = np.stack([rp * cos - r * sin, rp * sin + r * cos], axis=-1)
             t2 = np.stack(
                 [(rpp - r) * cos - 2 * rp * sin, (rpp - r) * sin + 2 * rp * cos],
@@ -347,6 +428,32 @@ class DomainSpec:
             if active.size == 0:
                 break
         return theta
+
+
+class _SeedTable(NamedTuple):
+    """What the outer-curve queries read at the 720 seeds of a DomainSpec."""
+
+    theta: np.ndarray  # the seed angles
+    terms: tuple  # (r, r', r'', cos, sin) at them, for _project's first pass
+    x: np.ndarray  # curve points, tiled twice so any cyclic run of seeds is one slice
+    y: np.ndarray
+    index: np.ndarray  # seed indices, tiled twice
+    centre: tuple  # the frame centre c of _seed_windows
+    edge: float  # the first bin edge
+    bin: float  # the bin width, an eighth of a seed step
+    rank: np.ndarray  # index of the first seed at or above each edge of one turn
+    r_min: float  # least and greatest seed radius about c
+    r_max: float
+
+
+def _polar_frame(x, y, cx, cy):
+    """Unwrapped polar angles of points about (cx, cy), and their least and
+    greatest radius about it."""
+    dx, dy = x - cx, y - cy
+    rho = np.hypot(dx, dy)
+    angle = np.arctan2(dy, dx)
+    angle[1:] += TWO_PI * np.cumsum(angle[1:] < angle[:-1])  # counterclockwise wraps
+    return angle, float(np.min(rho)), float(np.max(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +727,17 @@ def interior_sphere_radius(spec: DomainSpec, d_omega: float | None = None) -> fl
     )
 
     def feasible(r, at):
+        # min(d_outer, d_holes) >= t exactly when each is: the holes go
+        # first, and a centre in a closed hole fails its test as t > 0
         centers = (probes - r[:, None] * normals).compress(at, axis=0)
-        ok = spec.contains(centers)
-        out = np.zeros_like(ok)
+        t = r[at] - 1e-9
+        ok = spec._inside_outer(centers)
+        for hole in spec.holes:
+            dh = np.hypot(centers[:, 0] - hole.center[0], centers[:, 1] - hole.center[1])
+            ok &= dh - hole.radius >= t
         if np.any(ok):
-            d = distance_to_boundary(spec, centers[ok])
-            out[ok] = d >= r[at][ok] - 1e-9
-        return out
+            ok[ok] = spec._distance_to_outer(centers[ok]) >= t[ok]
+        return ok
 
     every = np.ones(probes.shape[0], dtype=bool)
     lo = np.full(probes.shape[0], resolution)
@@ -704,7 +815,7 @@ def enclosing_inscribed_radii(spec: DomainSpec, z) -> tuple[float, float]:
     dist = np.hypot(*(spec.boundary_point(theta) - z).T)
     # polish the farthest and the nearest sample as foot points of z
     seeds = theta[[np.argmax(dist), np.argmin(dist)]]
-    feet = spec.boundary_point(spec._project(np.stack([z, z]), seeds))
+    feet = spec.boundary_point(spec._project(np.stack([z, z]), [0, 1], seeds, spec._terms(seeds)))
     rho_e, rho_i = np.hypot(*(feet - z).T)
     return max(float(rho_e), float(np.max(dist))), min(float(rho_i), float(np.min(dist)))
 

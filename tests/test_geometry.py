@@ -238,9 +238,10 @@ def _scan_seed(spec, pts):
 
 
 def _scan_distance(spec, pts):
-    """The distance oracle: the scan's seed projected by spec._project."""
+    """The distance oracle: the scan's seed projected by spec._project, its
+    first pass fed from the series at the seeds, not the seed table."""
     nearest = _scan_seed(spec, pts)
-    theta = spec._project(pts, SEEDS[nearest])
+    theta = spec._project(pts, nearest, SEEDS, spec._terms(SEEDS))
     return nearest, np.hypot(*(pts - spec.boundary_point(theta)).T)
 
 
@@ -253,18 +254,18 @@ def _assert_distance_is_scan(spec, pts):
 
 def _pinned_points(spec):
     """Seeds themselves, points within 1e-13 of the curve on both sides,
-    centres of curvature, the origin, and points within 1e-7 of it, where
-    many seeds are within rounding of equally near."""
+    centres of curvature, the origin and the seed windows' frame centre, and
+    points within 1e-7 of each, where many seeds are within rounding of
+    equally near."""
     theta = np.concatenate([SEEDS[::7], np.linspace(0.001, TWO_PI, 61)])
     on = spec.boundary_point(theta)
     normal = spec.boundary_normal(theta)
     kappa = spec.boundary_curvature(theta)
     centres = (on - normal / kappa[:, None])[kappa > 0.2]
     unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    near_origin = [rho * unit for rho in (1e-15, 1e-13, 1e-11, 1e-9, 1e-7)]
-    return np.concatenate(
-        [on, on - 1e-13 * normal, on + 1e-13 * normal, centres, np.zeros((1, 2)), *near_origin]
-    )
+    frame = np.array([(0.0, 0.0), spec._seeds.centre])
+    near = [c + rho * unit for c in frame for rho in (1e-15, 1e-13, 1e-11, 1e-9, 1e-7)]
+    return np.concatenate([on, on - 1e-13 * normal, on + 1e-13 * normal, centres, frame, *near])
 
 
 @hst.composite
@@ -332,6 +333,48 @@ def test_distance_to_outer_equals_scan_on_free_boundary_curve(free_boundary_spec
     _assert_distance_is_scan(spec, np.concatenate([pts, _pinned_points(spec)]))
 
 
+def test_seed_windows_are_narrow_on_free_boundary_curve(free_boundary_spec):
+    # the curve is within 3e-5 relative of a circle about a centre off the
+    # origin: about that centre the windows hold a seed or two, about the
+    # origin ~133
+    spec = free_boundary_spec
+    pts = random_interior_points(spec, 2000, np.random.default_rng(7))
+    _, width = spec._seed_windows(pts[:, 0], pts[:, 1])
+    assert np.mean(width) <= 8
+    assert spec._seeds.centre != (0.0, 0.0)
+
+
+def _membership_points(spec, seed):
+    """Scattered points, points on the curve at every seed and mid-seed
+    angle, one ulp and 1e-9 and 1e-4 relative inside and outside it, and
+    the origin."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, TWO_PI, 300)
+    rho = rng.uniform(0.0, 1.3, 300) * spec.radius(theta)
+    scattered = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
+    on = spec.boundary_point(np.concatenate([SEEDS, SEEDS + np.pi / SEEDS.size]))
+    off = [on * (1.0 + f) for f in (-1e-4, -1e-9, 1e-9, 1e-4)]
+    ulps = [np.nextafter(on, 0.0), np.nextafter(on, 2.0 * on)]
+    return np.concatenate([scattered, on, *off, *ulps, np.zeros((1, 2))])
+
+
+def _assert_membership_is_series(spec, pts):
+    # the band decides most points without the series; every decision is
+    # the series comparison's, also within an ulp of the curve
+    want = np.hypot(pts[:, 0], pts[:, 1]) < spec.radius(np.arctan2(pts[:, 1], pts[:, 0]))
+    assert np.array_equal(spec._inside_outer(pts), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=admissible_domains(), seed=hst.integers(0, 2**32 - 1))
+def test_inside_outer_equals_series_comparison(spec, seed):
+    _assert_membership_is_series(spec, _membership_points(spec, seed))
+
+
+def test_inside_outer_equals_series_comparison_on_free_boundary_curve(free_boundary_spec):
+    _assert_membership_is_series(free_boundary_spec, _membership_points(free_boundary_spec, 3))
+
+
 def test_distance_to_outer_temporaries_stay_small(free_boundary_spec):
     # growth checks ask for 10,000 interior points at once; the search and
     # the projection work in bounded blocks
@@ -350,14 +393,15 @@ def test_distance_to_outer_temporaries_stay_small(free_boundary_spec):
 def test_projection_stops_within_ulps_of_the_angle(monkeypatch):
     # the 10,000 growth samples of configs/stability_dirichlet.cfg: the
     # Newton steps near theta = 2 pi shrink to roundoff of a few ulps of
-    # theta, which an absolute stop far below those ulps never accepts
+    # theta, which an absolute stop far below those ulps never accepts; the
+    # first pass reads the seed table, so only the later passes call radii
     spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
     pts = random_interior_points(spec, 10_000, np.random.default_rng(2))
     passes = []
     radii = DomainSpec.radii
     monkeypatch.setattr(DomainSpec, "radii", lambda s, th: passes.append(th.size) or radii(s, th))
     spec._distance_to_outer(pts)
-    assert len(passes) <= 5
+    assert len(passes) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +519,19 @@ def test_interior_sphere_radius_equals_full_bisection(spec):
 
 def test_interior_sphere_radius_tests_fewer_probes(monkeypatch):
     # the domain of configs/stability_dirichlet.cfg: a hole probe sets the
-    # minimum well below the outer probes, which drop out early
+    # minimum well below the outer probes, which drop out early, and centres
+    # too near the hole never reach the outer-curve projection
     spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
     points = []
-    distance = geometry.distance_to_boundary
+    distance = DomainSpec._distance_to_outer
     monkeypatch.setattr(
-        geometry, "distance_to_boundary", lambda s, p: points.append(len(p)) or distance(s, p)
+        DomainSpec, "_distance_to_outer", lambda s, p: points.append(len(p)) or distance(s, p)
     )
     interior_sphere_radius(spec)
     pruned = sum(points)
     points.clear()
     _full_bisection_radius(spec)
+    assert pruned > 0
     assert 2 * pruned < sum(points)
 
 
