@@ -214,10 +214,13 @@ class DomainSpec:
         """rho < r(theta) for the polar coordinates of each point.  Only
         points within the band m of the radius r_j at the seed nearest theta
         (``_band``) evaluate the series; the rest are decided by r_j -+ m,
-        which bound the computed r(theta)."""
+        which bound the computed r(theta).  On a circle the series is a
+        constant, cheaper than the band, and every point compares with it."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rho = np.hypot(pts[:, 0], pts[:, 1])
         theta = np.arctan2(pts[:, 1], pts[:, 0])
+        if not self.fourier_modes:
+            return rho < self.radius(theta)
         seed_r, band = self._band
         n = seed_r.size
         r = seed_r[np.rint(theta * (n / TWO_PI)).astype(np.intp) % n]
@@ -235,7 +238,10 @@ class DomainSpec:
         |eps_k|) R, for n modes, exceeds the rounding of both series (each
         cos(k theta) within 2 pi k + 4 ulps, each of the n + 1 sums and
         products within an ulp of R (1 + sum |eps_k|)), of the angle's
-        distance to its seed, and of r_j -+ m."""
+        distance to its seed, and of r_j -+ m.  Kept apart from ``_seeds``
+        on purpose: the shape flow asks one-point membership questions of
+        fresh domains, and building the whole seed table for each cost 13 ms
+        a pass."""
         theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
         bend = sum(k * abs(e) for k, e in self.fourier_modes)
         rounding = 64.0 * np.finfo(float).eps * (len(self.fourier_modes) + 1) * (1.0 + bend)
@@ -267,9 +273,7 @@ class DomainSpec:
         centre off the origin.
         """
         theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
-        terms = self._terms(theta)
-        r, cos, sin = terms[0], terms[3], terms[4]
-        x, y = r * cos, r * sin  # boundary_point(theta) bit for bit
+        x, y = self.boundary_point(theta).T
         centre = (0.5 * float(np.min(x) + np.max(x)), 0.5 * float(np.min(y) + np.max(y)))
         frame = _polar_frame(x, y, 0.0, 0.0)
         moved = _polar_frame(x, y, *centre)
@@ -279,32 +283,16 @@ class DomainSpec:
         else:
             centre = (0.0, 0.0)
         angle, r_min, r_max = frame
-        # one turn of bin edges, 8 per seed step, from below -3 pi, the least
-        # arctan2 angle less a half-width of pi; the origin frame's seeds are
-        # mid-bin
-        bins = 8 * theta.size
-        width = TWO_PI / bins
-        edge = -1.5 * TWO_PI - 0.5 * width
-        tiled = np.concatenate([angle + k * TWO_PI for k in range(-3, 2)])
-        rank = np.searchsorted(tiled, edge + width * np.arange(bins)) - 3 * theta.size
         return _SeedTable(
             theta=theta,
-            terms=terms,
             x=np.tile(x, 2),
             y=np.tile(y, 2),
             index=np.tile(np.arange(theta.size, dtype=np.int16), 2),
             centre=centre,
-            edge=edge,
-            bin=width,
-            rank=rank.astype(np.int16),
+            angle=angle,
             r_min=r_min,
             r_max=r_max,
         )
-
-    def _terms(self, theta):
-        """(r, r', r'', cos, sin) at the angles theta: what a ``_project``
-        pass reads of the curve."""
-        return (*self.radii(theta), np.cos(theta), np.sin(theta))
 
     def _seed_windows(self, x, y):
         """(first, width): for each point the first seed index (mod 720) and
@@ -324,26 +312,24 @@ class DomainSpec:
         r_max)^2), of the radii about c, and of the cosine's numerator, which
         cancels near c.  w is widened by 1e-7, more than the rounding of the
         quotient and its arccos (at most sqrt(6 eps), 2.6e-8, where w is near
-        0 or pi) and of the angles (a few ulps of 4 pi).  The window's ends
-        are then rounded outward to bin edges, 8 bins a seed step (``rank``
-        holds the first seed at or above each edge).  So it holds every seed
-        whose computed squared distance can reach the computed D^2.  Where
-        the bound gives nothing (w = pi, or p at c) the window is all 720
-        seeds.
+        0 or pi) and of the angles (a few ulps of 4 pi), and the window holds
+        the seeds whose angles about c are within w of phi.  So it holds every
+        seed whose computed squared distance can reach the computed D^2.
+        Where the bound gives nothing (w = pi, or p at c) the window is all
+        720 seeds.
         """
         seeds = self._seeds
         n = seeds.theta.size
         dx, dy = x - seeds.centre[0], y - seeds.centre[1]
         rho = np.hypot(dx, dy)
         phi = np.arctan2(dy, dx)
-
-        def rank(angle, above=0):  # first seed (index mod n) at or above a bin edge
-            turn, at = np.divmod(
-                ((angle - seeds.edge) / seeds.bin).astype(np.intp) + above, seeds.rank.size
-            )
-            return seeds.rank[at] + n * turn
-
-        near = rank(phi)  # the first seed at or above phi's bin, and near - 1 below it
+        # the seed angles over turns -2 to 1 hold every query angle, in [-2 pi
+        # - 1e-7, 2 pi + 1e-7]; built per call, as a table kept per domain
+        # raised the sweeps' peak memory by its size for each live domain
+        turns = np.concatenate([seeds.angle + k * TWO_PI for k in range(-2, 2)])
+        # seed indices unwrapped by turns: the first seed at or above phi, and
+        # near - 1 below it
+        near = np.searchsorted(turns, phi) - 2 * n
         d2 = np.minimum(
             (x - seeds.x[near]) ** 2 + (y - seeds.y[near]) ** 2,
             (x - seeds.x[near - 1]) ** 2 + (y - seeds.y[near - 1]) ** 2,
@@ -353,18 +339,17 @@ class DomainSpec:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             cos_w = (rc * rc + rho * rho - d2) / (2.0 * rc * rho)
         half = np.arccos(np.where(cos_w > -1.0, np.minimum(cos_w, 1.0), -1.0)) + 1e-7
-        first = rank(phi - half)
-        last = rank(phi + half, 1) - 1
-        return first % n, np.minimum(last + 1 - first, n)
+        first = np.searchsorted(turns, phi - half) - 2 * n
+        end = np.searchsorted(turns, phi + half, side="right") - 2 * n
+        return first % n, np.minimum(end - first, n)
 
     def _distance_to_outer(self, pts):
         """Distance from points to the outer curve: each point starts from its
         nearest seed (``_nearest_seed``) and is projected onto the curve by
-        ``_project``, whose first pass reads the seed table."""
+        ``_project``."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        seeds = self._seeds
-        theta = self._project(pts, self._nearest_seed(pts), seeds.theta, seeds.terms)
-        return np.hypot(*(pts - self.boundary_point(theta)).T)
+        theta = self._seeds.theta[self._nearest_seed(pts)]
+        return np.hypot(*(pts - self.boundary_point(self._project(pts, theta))).T)
 
     def _nearest_seed(self, pts):
         """Index of each point's nearest of the 720 seeds, the lowest index
@@ -397,20 +382,19 @@ class DomainSpec:
             nearest[rows] = np.min(ids, axis=1)
         return nearest
 
-    def _project(self, pts, start, angles, terms):
+    def _project(self, pts, theta):
         """Foot-point angles on the outer curve: Newton steps on the
-        stationarity of |x(theta) - p|^2 from the starting angles
-        angles[start] (a nearest or farthest sample), each clipped to 0.5;
-        every point stops on its own |step| < 16 eps max(1, |theta|), a few
-        ulps of its angle, after at most 40 steps, and at once where the
-        Newton denominator |h| < 1e-14 (p at a centre of curvature, where
-        every angle is a foot point).  ``terms`` is ``_terms(angles)``: the
-        first pass reads it at start, elementwise the same floats."""
-        theta = angles[start]
+        stationarity of |x(theta) - p|^2 from the starting angles theta (a
+        nearest or farthest sample), each clipped to 0.5; every point stops on
+        its own |step| < 16 eps max(1, |theta|), a few ulps of its angle, after
+        at most 40 steps, and at once where the Newton denominator |h| < 1e-14
+        (p at a centre of curvature, where every angle is a foot point)."""
+        theta = np.array(theta, dtype=float)
         active = np.arange(theta.size)  # points still taking Newton steps
-        for n in range(40):
+        for _ in range(40):
             th, p = theta[active], pts[active]
-            r, rp, rpp, cos, sin = [t[start] for t in terms] if n == 0 else self._terms(th)
+            r, rp, rpp = self.radii(th)
+            cos, sin = np.cos(th), np.sin(th)
             t1 = np.stack([rp * cos - r * sin, rp * sin + r * cos], axis=-1)
             t2 = np.stack(
                 [(rpp - r) * cos - 2 * rp * sin, (rpp - r) * sin + 2 * rp * cos],
@@ -434,14 +418,11 @@ class _SeedTable(NamedTuple):
     """What the outer-curve queries read at the 720 seeds of a DomainSpec."""
 
     theta: np.ndarray  # the seed angles
-    terms: tuple  # (r, r', r'', cos, sin) at them, for _project's first pass
     x: np.ndarray  # curve points, tiled twice so any cyclic run of seeds is one slice
     y: np.ndarray
     index: np.ndarray  # seed indices, tiled twice
     centre: tuple  # the frame centre c of _seed_windows
-    edge: float  # the first bin edge
-    bin: float  # the bin width, an eighth of a seed step
-    rank: np.ndarray  # index of the first seed at or above each edge of one turn
+    angle: np.ndarray  # the seeds' unwrapped angles about c
     r_min: float  # least and greatest seed radius about c
     r_max: float
 
@@ -815,7 +796,7 @@ def enclosing_inscribed_radii(spec: DomainSpec, z) -> tuple[float, float]:
     dist = np.hypot(*(spec.boundary_point(theta) - z).T)
     # polish the farthest and the nearest sample as foot points of z
     seeds = theta[[np.argmax(dist), np.argmin(dist)]]
-    feet = spec.boundary_point(spec._project(np.stack([z, z]), [0, 1], seeds, spec._terms(seeds)))
+    feet = spec.boundary_point(spec._project(np.stack([z, z]), seeds))
     rho_e, rho_i = np.hypot(*(feet - z).T)
     return max(float(rho_e), float(np.max(dist))), min(float(rho_i), float(np.min(dist)))
 

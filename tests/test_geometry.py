@@ -238,10 +238,9 @@ def _scan_seed(spec, pts):
 
 
 def _scan_distance(spec, pts):
-    """The distance oracle: the scan's seed projected by spec._project, its
-    first pass fed from the series at the seeds, not the seed table."""
+    """The distance oracle: the scan's seed projected by spec._project."""
     nearest = _scan_seed(spec, pts)
-    theta = spec._project(pts, nearest, SEEDS, spec._terms(SEEDS))
+    theta = spec._project(pts, SEEDS[nearest])
     return nearest, np.hypot(*(pts - spec.boundary_point(theta)).T)
 
 
@@ -393,15 +392,14 @@ def test_distance_to_outer_temporaries_stay_small(free_boundary_spec):
 def test_projection_stops_within_ulps_of_the_angle(monkeypatch):
     # the 10,000 growth samples of configs/stability_dirichlet.cfg: the
     # Newton steps near theta = 2 pi shrink to roundoff of a few ulps of
-    # theta, which an absolute stop far below those ulps never accepts; the
-    # first pass reads the seed table, so only the later passes call radii
+    # theta, which an absolute stop far below those ulps never accepts
     spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
     pts = random_interior_points(spec, 10_000, np.random.default_rng(2))
     passes = []
     radii = DomainSpec.radii
     monkeypatch.setattr(DomainSpec, "radii", lambda s, th: passes.append(th.size) or radii(s, th))
     spec._distance_to_outer(pts)
-    assert len(passes) <= 3
+    assert len(passes) <= 4
 
 
 # ---------------------------------------------------------------------------
