@@ -489,11 +489,8 @@ class AreaQuadrature:
 class Quadratures:
     """Bundle used by every integral-identity and stability computation."""
 
-    spec: DomainSpec
     bounds: BoundaryQuadratures
     area: AreaQuadrature
-    n_theta: int
-    n_r: int
 
 
 def build_boundary_quadrature(spec: DomainSpec, n_theta: int) -> BoundaryQuadratures:
@@ -533,41 +530,27 @@ def build_boundary_quadrature(spec: DomainSpec, n_theta: int) -> BoundaryQuadrat
 # ---------------------------------------------------------------------------
 
 
-def _hole_chord(hole: Hole, theta):
-    """Radial interval cut out of the ray at angle theta by the hole, or None."""
-    ct, st = math.cos(theta), math.sin(theta)
-    p = hole.center[0] * ct + hole.center[1] * st
-    c2 = hole.center[0] ** 2 + hole.center[1] ** 2
-    disc = hole.radius**2 - (c2 - p * p)
-    if disc <= 0.0:
-        return None
-    q = math.sqrt(disc)
-    return p - q, p + q
+def _grazing(center, radius):
+    """The two angles where a ray from the origin grazes the disk (kinks of
+    its radial sections), or none when the disk holds the origin."""
+    d = math.hypot(*center)
+    if d <= radius:
+        return []
+    phi = math.atan2(center[1], center[0])
+    half = math.asin(min(1.0, radius / d))
+    return [(phi - half) % TWO_PI, (phi + half) % TWO_PI]
 
 
-def _subtract_interval(intervals, lo, hi):
-    out = []
-    for a, b in intervals:
-        if hi <= a or lo >= b:
-            out.append((a, b))
-            continue
-        if lo > a:
-            out.append((a, lo))
-        if hi < b:
-            out.append((hi, b))
-    return out
-
-
-def _tangency_breakpoints(spec: DomainSpec):
-    """Angles where a ray from the origin grazes a hole (section kinks)."""
-    breaks = []
-    for hole in spec.holes:
-        d = math.hypot(*hole.center)
-        if d > hole.radius:
-            phi = math.atan2(hole.center[1], hole.center[0])
-            half = math.asin(min(1.0, hole.radius / d))
-            breaks.extend([(phi - half) % TWO_PI, (phi + half) % TWO_PI])
-    return sorted(breaks)
+def _chord(center, radius, cos, sin, r_out):
+    """(lo, hi): the radial interval the disk cuts from each ray (cos, sin),
+    clipped to [0, r_out]; lo = hi = r_out where the ray misses the disk."""
+    p = center[0] * cos + center[1] * sin
+    disc = radius**2 - (center[0] ** 2 + center[1] ** 2 - p * p)
+    q = np.sqrt(np.maximum(disc, 0.0))
+    lo = np.maximum(0.0, p - q)
+    hi = np.minimum(r_out, p + q)
+    cut = (disc > 0.0) & (hi > lo)
+    return np.where(cut, lo, r_out), np.where(cut, hi, r_out)
 
 
 def _paneled_theta_rule(breakpoints, n_theta):
@@ -607,30 +590,33 @@ def build_area_quadrature(spec: DomainSpec, n_r: int, n_theta: int) -> AreaQuadr
     """
     if n_r < 4 or n_theta < 16:
         raise InvalidDomainError("area quadrature needs n_r >= 4 and n_theta >= 16")
-    theta_nodes, theta_weights = _paneled_theta_rule(
-        _tangency_breakpoints(spec), n_theta
-    )
-    nodes, weights = [], []
-    for th, wt, r_out in zip(theta_nodes, theta_weights, spec.radius(theta_nodes).tolist()):
-        intervals = [(0.0, r_out)]
-        for hole in spec.holes:
-            chord = _hole_chord(hole, th)
-            if chord is not None:
-                intervals = _subtract_interval(
-                    intervals, max(0.0, chord[0]), min(r_out, chord[1])
-                )
-        ct, st = math.cos(th), math.sin(th)
-        for a, b in intervals:
-            if b - a < 1e-14:
-                continue
-            m = max(6, int(math.ceil(n_r * (b - a) / r_out)))
-            xs, ws = _gauss_legendre(m)
-            rho = 0.5 * (a + b) + 0.5 * (b - a) * xs
-            w = ws * 0.5 * (b - a) * rho * wt  # polar element rho drho dtheta
-            nodes.append(np.stack([rho * ct, rho * st], axis=-1))
-            weights.append(w)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
+    breaks = sorted(t for hole in spec.holes for t in _grazing(hole.center, hole.radius))
+    theta, theta_weights = _paneled_theta_rule(breaks, n_theta)
+    ct, st, r_out = np.cos(theta), np.sin(theta), spec.radius(theta)
+    lo = np.empty((len(spec.holes), theta.size))
+    hi = np.empty_like(lo)
+    for j, hole in enumerate(spec.holes):
+        lo[j], hi[j] = _chord(hole.center, hole.radius, ct, st, r_out)
+    # the holes are disjoint, so are their chords on one ray: sorted, they
+    # leave the pieces (0, lo_1), (hi_1, lo_2), ..., (hi_H, r), ray by ray
+    a = np.vstack([np.zeros_like(r_out), np.sort(hi, axis=0, kind="stable")]).T.ravel()
+    b = np.vstack([np.sort(lo, axis=0, kind="stable"), r_out]).T.ravel()
+    ray = np.repeat(np.arange(theta.size), len(spec.holes) + 1)
+    keep = b - a >= 1e-14
+    a, b, ray = a[keep], b[keep], ray[keep]
+    orders = np.maximum(6, np.ceil(n_r * (b - a) / r_out[ray]).astype(int))
+    start = np.cumsum(orders) - orders  # each piece's offset in node order
+    nodes = np.empty((int(np.sum(orders)), 2))
+    weights = np.empty(len(nodes))
+    for m in set(orders.tolist()):  # the pieces of one Gauss order in one pass
+        xs, ws = _gauss_legendre(m)
+        at = orders == m
+        pa, pb, on = a[at, None], b[at, None], ray[at, None]
+        rho = 0.5 * (pa + pb) + 0.5 * (pb - pa) * xs
+        idx = start[at, None] + np.arange(m)
+        weights[idx] = ws * 0.5 * (pb - pa) * rho * theta_weights[on]  # rho drho dtheta
+        nodes[idx, 0] = rho * ct[on]
+        nodes[idx, 1] = rho * st[on]
     exact = spec.region_area
     residual = abs(float(np.sum(weights)) - exact) / exact
     if residual > 1e-6:
@@ -640,11 +626,8 @@ def build_area_quadrature(spec: DomainSpec, n_r: int, n_theta: int) -> AreaQuadr
 
 def build_quadratures(spec: DomainSpec, n_theta: int = 256, n_r: int = 48) -> Quadratures:
     return Quadratures(
-        spec=spec,
         bounds=build_boundary_quadrature(spec, n_theta),
         area=build_area_quadrature(spec, n_r, n_theta),
-        n_theta=n_theta,
-        n_r=n_r,
     )
 
 
@@ -815,12 +798,7 @@ def intersection_area_with_disk(spec: DomainSpec, z, radius: float) -> float:
     circle has no crossings and the cost does not depend on roundoff signs.
     """
     z = np.asarray(z, dtype=float)
-    breaks = []
-    d0 = math.hypot(*z)
-    if d0 > radius:  # rays from the origin can graze the disk
-        phi = math.atan2(z[1], z[0])
-        half = math.asin(min(1.0, radius / d0))
-        breaks.extend([(phi - half) % TWO_PI, (phi + half) % TWO_PI])
+    breaks = _grazing(z, radius)
     # crossing angles where the outer curve meets the disk boundary: bracket
     # sign changes between cyclically consecutive off-circle samples and
     # bisect all brackets together
@@ -846,13 +824,8 @@ def intersection_area_with_disk(spec: DomainSpec, z, radius: float) -> float:
             ga = np.where(left, ga, gm)
         breaks.extend(((0.5 * (a + b)) % TWO_PI).tolist())
     theta, weights = _paneled_theta_rule(sorted(breaks), 512)
-    # radial chord of the disk along each ray, clipped to [0, r(theta)]
-    p = z[0] * np.cos(theta) + z[1] * np.sin(theta)
-    disc = radius * radius - (z[0] ** 2 + z[1] ** 2 - p * p)
-    q = np.sqrt(np.maximum(disc, 0.0))
-    a = np.maximum(0.0, p - q)
-    b = np.minimum(spec.radius(theta), p + q)
-    terms = np.where((disc > 0.0) & (b > a), 0.5 * (b * b - a * a) * weights, 0.0)
+    a, b = _chord(z, radius, np.cos(theta), np.sin(theta), spec.radius(theta))
+    terms = 0.5 * (b * b - a * a) * weights  # 0 where a = b: rays that miss the disk
     # a running sum in node order, not numpy's pairwise sum: the sweep's
     # log-log slopes are differences of nearly equal areas
     return float(np.cumsum(terms)[-1])

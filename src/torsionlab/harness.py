@@ -383,20 +383,26 @@ def _build_spec(cfg: ScenarioConfig) -> DomainSpec:
     return DomainSpec(cfg.outer_radius, cfg.modes, holes)
 
 
-def _build_field(cfg: ScenarioConfig, spec: DomainSpec):
-    """(spec, model, extras) for the configured field kind; the spec may be
-    replaced (hole carving, free-boundary construction)."""
+def _build_field(cfg: ScenarioConfig):
+    """(spec, model, extras) for the configured field kind.  An overdetermined
+    instance builds its own outer curve about the configured hole, so the
+    hole is checked against that curve, by the instance's own spec."""
+    if cfg.field_kind == "overdetermined":
+        ((cx, cy, r, g),) = cfg.holes
+        try:
+            h = Hole((cx, cy), r, g)
+            inst = overdetermined_instance(
+                cfg.cauchy_eps, c=cfg.cauchy_c, hole_center=h.center, hole_radius=h.radius
+            )
+        except InvalidDomainError as err:
+            raise ConfigError("domain.holes", f"no overdetermined instance: {err}") from None
+        return inst.spec, inst.model, {"instance": inst}
+    spec = _build_spec(cfg)
     if cfg.field_kind == "radial":
         return spec, radial_model(spec.outer_radius, *spec.holes), {}
     if cfg.field_kind == "dirichlet":
         model, diag = solve_dirichlet(spec)
         return spec, model, {"solver": diag}
-    if cfg.field_kind == "overdetermined":
-        (h,) = spec.holes
-        inst = overdetermined_instance(
-            cfg.cauchy_eps, c=cfg.cauchy_c, hole_center=h.center, hole_radius=h.radius
-        )
-        return inst.spec, inst.model, {"instance": inst}
     # cauchy-literal: continue from the hole-free curve; the holes are carved
     # from the configured spec
     model, diag = solve_cauchy(replace(spec, holes=()), cfg.cauchy_c, future_holes=spec.holes)
@@ -448,7 +454,7 @@ def _report_from_stability(rep):
 
 
 def run_identities(cfg: ScenarioConfig):
-    spec, model, _ = _build_field(cfg, _build_spec(cfg))
+    spec, model, _ = _build_field(cfg)
     quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
     area, gamma, holes = sample_field(model, quads)
     value_c = check_value_c(spec, gamma, holes)
@@ -506,7 +512,7 @@ def _points(cfg: ScenarioConfig):
     the configured instance without a sweep, else one point per sweep value,
     the config with the swept field replaced and built like a single run."""
     if cfg.sweep_axis is None:
-        spec, model, _ = _build_field(cfg, _build_spec(cfg))
+        spec, model, _ = _build_field(cfg)
         yield "instance", "value", 0.0, spec, model
     for v in cfg.sweep_values:
         if cfg.sweep_axis == "hole_radius":
@@ -515,7 +521,7 @@ def _points(cfg: ScenarioConfig):
             point = replace(cfg, modes=((cfg.cauchy_k, v),))
         else:
             point = replace(cfg, cauchy_eps=v)
-        spec, model, _ = _build_field(point, _build_spec(point))
+        spec, model, _ = _build_field(point)
         yield f"{cfg.sweep_axis}={v:g}", cfg.sweep_axis, v, spec, model
 
 

@@ -12,6 +12,7 @@ from torsionlab.geometry import (
     ExteriorPointError,
     Hole,
     InvalidDomainError,
+    QuadratureError,
     build_area_quadrature,
     build_boundary_quadrature,
     diameter,
@@ -728,6 +729,145 @@ def test_intersection_coincident_circle(monkeypatch):
 
 def test_intersection_disjoint(ball):
     assert intersection_area_with_disk(ball, (5.0, 0.0), 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Polar sections against the per-angle loop, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _loop_grazing(center, radius):
+    d = math.hypot(*center)
+    if d > radius:
+        phi = math.atan2(center[1], center[0])
+        half = math.asin(min(1.0, radius / d))
+        return [(phi - half) % TWO_PI, (phi + half) % TWO_PI]
+    return []
+
+
+def _loop_area_rule(spec, n_r, n_theta):
+    """The area rule ray by ray: math.cos, each hole chord subtracted from the
+    ray's list of intervals, one Gauss rule per remaining piece."""
+
+    def subtract(intervals, lo, hi):
+        out = []
+        for a, b in intervals:
+            if hi <= a or lo >= b:
+                out.append((a, b))
+                continue
+            if lo > a:
+                out.append((a, lo))
+            if hi < b:
+                out.append((hi, b))
+        return out
+
+    breaks = sorted(t for h in spec.holes for t in _loop_grazing(h.center, h.radius))
+    theta_nodes, theta_weights = geometry._paneled_theta_rule(breaks, n_theta)
+    nodes, weights = [], []
+    for th, wt, r_out in zip(theta_nodes, theta_weights, spec.radius(theta_nodes).tolist()):
+        ct, st = math.cos(th), math.sin(th)
+        intervals = [(0.0, r_out)]
+        for hole in spec.holes:
+            p = hole.center[0] * ct + hole.center[1] * st
+            c2 = hole.center[0] ** 2 + hole.center[1] ** 2
+            disc = hole.radius**2 - (c2 - p * p)
+            if disc > 0.0:
+                q = math.sqrt(disc)
+                intervals = subtract(intervals, max(0.0, p - q), min(r_out, p + q))
+        for a, b in intervals:
+            if b - a < 1e-14:
+                continue
+            m = max(6, int(math.ceil(n_r * (b - a) / r_out)))
+            xs, ws = geometry._gauss_legendre(m)
+            rho = 0.5 * (a + b) + 0.5 * (b - a) * xs
+            weights.append(ws * 0.5 * (b - a) * rho * wt)
+            nodes.append(np.stack([rho * ct, rho * st], axis=-1))
+    weights = np.concatenate(weights)
+    exact = spec.region_area
+    return np.concatenate(nodes), weights, abs(float(np.sum(weights)) - exact) / exact
+
+
+def _assert_area_rule_is_loop(spec):
+    for n_r, n_theta in ((48, 256), (24, 128), (4, 16)):
+        nodes, weights, residual = _loop_area_rule(spec, n_r, n_theta)
+        try:
+            aq = build_area_quadrature(spec, n_r, n_theta)
+        except QuadratureError as err:  # a coarse rule misses the area the same way
+            assert err.residual == residual > 1e-6
+            continue
+        assert residual <= 1e-6
+        assert aq.nodes.tobytes() == nodes.tobytes()
+        assert aq.weights.tobytes() == weights.tobytes()
+        assert aq.area_residual == residual
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=admissible_domains())
+def test_area_rule_equals_per_angle_loop(spec):
+    _assert_area_rule_is_loop(spec)
+
+
+@pytest.mark.parametrize(
+    "holes",
+    [
+        [((0.05, 0.0), 0.2)],  # holds the origin: every ray starts past it
+        [((0.3, 0.0), 0.1), ((0.6, 0.0), 0.1)],  # two chords on one ray
+        [((0.6, 0.0), 0.1), ((0.3, 0.0), 0.1), ((-0.5, 0.3), 0.15)],
+    ],
+)
+def test_area_rule_equals_per_angle_loop_pinned(holes):
+    spec = DomainSpec(1.0, ((3, 0.05),), tuple(Hole(c, r) for c, r in holes))
+    _assert_area_rule_is_loop(spec)
+
+
+def test_area_rule_equals_per_angle_loop_on_free_boundary_curve(free_boundary_spec):
+    _assert_area_rule_is_loop(free_boundary_spec)
+
+
+@pytest.mark.parametrize(
+    "modes, z, radius",
+    [
+        (((3, 0.05),), (0.01, 0.0), 1.0),  # holds the origin, crosses the curve
+        (((2, 0.1), (5, 0.01)), (0.05, -0.02), 0.98),
+        (((2, 0.1),), (0.5, 0.2), 0.3),  # rays graze it, some lines hit it behind 0
+        (((2, 0.1),), (0.9, -0.4), 0.6),  # grazed and cut by the curve
+        ((), (0.0, 0.0), 0.5),
+        ((), (5.0, 0.0), 1.0),
+    ],
+)
+def test_intersection_equals_inline_chords(modes, z, radius, monkeypatch):
+    _assert_intersection_is_inline(DomainSpec(1.0, modes), z, radius, monkeypatch)
+
+
+def test_intersection_equals_inline_chords_on_free_boundary_curve(free_boundary_spec, monkeypatch):
+    # the asymmetry's disk B_Nc(z) about the hole centre, and a smaller one
+    for radius in (1.0, 0.7):
+        _assert_intersection_is_inline(free_boundary_spec, (0.4, 0.0), radius, monkeypatch)
+
+
+def _assert_intersection_is_inline(spec, z, radius, monkeypatch):
+    """The grazing angles and the chords along the panel rule's rays, in the
+    expressions intersection_area_with_disk had inline."""
+    rules = []
+    paneled = geometry._paneled_theta_rule
+
+    def recorded(breaks, n):
+        rules.append((breaks, *paneled(breaks, n)))
+        return rules[-1][1:]
+
+    monkeypatch.setattr(geometry, "_paneled_theta_rule", recorded)
+    got = intersection_area_with_disk(spec, z, radius)
+    monkeypatch.undo()
+    ((breaks, theta, weights),) = rules
+    z = np.asarray(z, dtype=float)
+    assert set(_loop_grazing(z, radius)) <= set(breaks)
+    p = z[0] * np.cos(theta) + z[1] * np.sin(theta)
+    disc = radius * radius - (z[0] ** 2 + z[1] ** 2 - p * p)
+    q = np.sqrt(np.maximum(disc, 0.0))
+    a = np.maximum(0.0, p - q)
+    b = np.minimum(spec.radius(theta), p + q)
+    terms = np.where((disc > 0.0) & (b > a), 0.5 * (b * b - a * a) * weights, 0.0)
+    assert got == float(np.cumsum(terms)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,23 @@ def test_run_overdetermined_rejects_modes(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_run_overdetermined_checks_the_hole_against_its_own_curve(tmp_path, capsys):
+    # the free-boundary curve has radius about 2c, so at c = 2 a hole at
+    # (2, 0) lies well inside it, though outside the unit circle
+    text = (
+        OVERDETERMINED_RUN.replace("[[0.4, 0.0, 0.1, 0.0]]", "[[2.0, 0.0, 0.1, 0.0]]")
+        + "cauchy.c = 2.0\ncauchy.eps = 0.01\n"
+    )
+    assert main(["run", write(tmp_path, "far.cfg", text), "--out", str(tmp_path / "far")]) == 0
+    capsys.readouterr()
+    # at c = 0.5 a hole at (0.85, 0) admits no instance: the builder's own
+    # domain check fails, and the error names the config field
+    text = OVERDETERMINED_RUN.replace("[[0.4, 0.0, 0.1, 0.0]]", "[[0.85, 0.0, 0.1, 0.0]]")
+    assert main(["run", write(tmp_path, "near.cfg", text), "--out", str(tmp_path / "near")]) == 2
+    assert "config field 'domain.holes'" in capsys.readouterr().err
+    assert not (tmp_path / "near").exists()
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.cfg")
