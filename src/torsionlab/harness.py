@@ -352,9 +352,9 @@ def _check_combinations(cfg: ScenarioConfig, given: dict):
                 raise ConfigError(
                     path, f"overdetermined instances build their own outer curve; leave {path} unset"
                 )
-        if len(holes) != 1:
+        if len(holes) != 1 or holes[0][3] != 0:
             raise ConfigError(
-                "domain.holes", f"overdetermined instances use exactly one hole, got {len(holes)}"
+                "domain.holes", f"overdetermined instances use exactly one hole, g = 0, got {holes}"
             )
     if cfg.experiment == "poincare":
         for i, (r, p, alpha) in enumerate(cfg.poincare_triples):
@@ -388,9 +388,9 @@ def _build_field(cfg: ScenarioConfig):
     instance builds its own outer curve about the configured hole, so the
     hole is checked against that curve, by the instance's own spec."""
     if cfg.field_kind == "overdetermined":
-        ((cx, cy, r, g),) = cfg.holes
+        ((cx, cy, r, _),) = cfg.holes
         try:
-            h = Hole((cx, cy), r, g)
+            h = Hole((cx, cy), r)
             inst = overdetermined_instance(
                 cfg.cauchy_eps, c=cfg.cauchy_c, hole_center=h.center, hole_radius=h.radius
             )

@@ -1,10 +1,12 @@
 """Dirichlet-energy shape functional, its boundary shape derivative, and a
 volume-preserving flow of the outer curve toward constant normal derivative.
 
-The energy is I = (1/2) integral |grad u|^2 over the region, u the torsion
-field; its first variation under a boundary velocity field v is the boundary
-integral I'(0) = (1/2) integral u_nu^2 <nu, v> dS, which vanishes for all
-volume-preserving v exactly when u_nu is constant, i.e. at the disk.
+The energy I = (1/2) integral |grad u|^2 of the torsion field u is
+I = (1/2)(integral |x|^2/4 u_nu dS - integral r^4/16 dtheta), by Green's second
+identity with |x|^2/4 (Polya & Szego, Isoperimetric Inequalities in Mathematical
+Physics, 1951).  Under a boundary velocity v, I'(0) = (1/2) integral u_nu^2
+<nu, v> dS, which vanishes for all volume-preserving v exactly when u_nu is
+constant, i.e. at the disk.
 
 Sign note: at fixed area the disk MAXIMIZES I (classical torsional-rigidity
 extremality; verified here by finite differences), so the flow that converges
@@ -25,10 +27,9 @@ from .geometry import (
     TWO_PI,
     DomainSpec,
     build_boundary_quadrature,
-    build_quadratures,
     enclosing_inscribed_radii,
 )
-from .solver import FieldModel, SolverConvergenceError, evaluate, normal_derivative, solve_dirichlet
+from .solver import FieldModel, SolverConvergenceError, normal_derivative, solve_dirichlet
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,25 @@ class FlowResult:
         return self.trajectory[-1]
 
 
-def energy(spec: DomainSpec, n_src_per_ring: int = 96, n_theta: int = 256, n_r: int = 48,
-           model: FieldModel | None = None) -> float:
-    """(1/2) integral over the region of |grad u|^2 for the torsion field."""
+def _flux(spec: DomainSpec, model: FieldModel):
+    """The outer curve's trapezoid rule on 512 angles and u_nu at its nodes."""
+    bq = build_boundary_quadrature(spec, 512).gamma
+    return bq, normal_derivative(model, bq.nodes, bq.normals)
+
+
+def _energy(bq, u_nu) -> float:
+    """I by the boundary identity; the trapezoid sum of r^4/16 is exact below n modes."""
+    x2 = np.sum(bq.nodes**2, axis=1)
+    return 0.5 * float(np.sum(x2 / 4 * u_nu * bq.weights) - np.mean(x2 * x2 / 16) * TWO_PI)
+
+
+def energy(spec: DomainSpec, model: FieldModel | None = None) -> float:
+    """(1/2) integral |grad u|^2 of the torsion field of a hole-free spec, from its flux."""
+    if spec.holes:
+        raise ValueError(f"the energy needs a hole-free domain, got {len(spec.holes)} holes")
     if model is None:
-        model, _ = solve_dirichlet(spec, n_src_per_ring)
-    quads = build_quadratures(spec, n_theta, n_r)
-    _, grad, _ = evaluate(model, quads.area.nodes, "g")
-    return 0.5 * float(np.sum(np.sum(grad * grad, axis=1) * quads.area.weights))
+        model, _ = solve_dirichlet(spec)
+    return _energy(*_flux(spec, model))
 
 
 def _volume_project(v_n, weights):
@@ -92,10 +104,8 @@ def shape_gradient(spec: DomainSpec, v_coeffs: dict, mode_basis: tuple = ()) -> 
     mean); the removed component is reported.  mode_gradient returns the same
     boundary integral against each projected basis mode in mode_basis.
     """
-    model, _ = solve_dirichlet(spec)
-    bq = build_boundary_quadrature(spec, 512).gamma
+    bq, u_nu = _flux(spec, solve_dirichlet(spec)[0])
     theta, weights = bq.theta, bq.weights
-    u_nu = normal_derivative(model, bq.nodes, bq.normals)
     v_n = np.zeros(bq.n_nodes)
     for (kind, k), amp in v_coeffs.items():
         v_n += amp * (np.cos(k * theta) if kind == "cos" else np.sin(k * theta))
@@ -129,10 +139,10 @@ def flow_to_constant_flux(spec: DomainSpec) -> FlowResult:
     flat to flatness_tol = 1e-3, for at most max_iters = 200 steps.
 
     u_nu comes from a Dirichlet solve (96 sources per ring) on 512 boundary
-    nodes, and each step is refit to the first 16 cosine modes.  Steps are
-    accepted when the energy does not decrease beyond energy_tol = 1e-9 (the
-    disk is the fixed-area maximizer); a rejected step is halved, and more
-    than max_halvings = 12 halvings stalls the flow.
+    nodes, the energy from u_nu there, and each step is refit to the first 16
+    cosine modes.  Steps are accepted when the energy does not decrease beyond
+    energy_tol = 1e-9 (the disk is the fixed-area maximizer); a rejected step
+    is halved, and more than max_halvings = 12 halvings stalls the flow.
     """
     max_iters, flatness_tol, energy_tol, max_halvings = 200, 1e-3, 1e-9, 12
     if spec.holes:
@@ -142,16 +152,13 @@ def flow_to_constant_flux(spec: DomainSpec) -> FlowResult:
     target_area = spec.outer_area
 
     def measure(s):
-        model, _ = solve_dirichlet(s)
-        bq = build_boundary_quadrature(s, 512).gamma
-        u_nu = normal_derivative(model, bq.nodes, bq.normals)
+        bq, u_nu = _flux(s, solve_dirichlet(s)[0])
         total = float(np.sum(bq.weights))
         mean = float(np.sum(u_nu * bq.weights) / total)
         var = float(np.sum((u_nu - mean) ** 2 * bq.weights) / total)
-        e = energy(s, model=model)
-        return model, bq.theta, u_nu, mean, math.sqrt(var), e, bq.normals
+        return bq.theta, u_nu, mean, math.sqrt(var), _energy(bq, u_nu), bq.normals
 
-    model, theta, u_nu, mean, std, e0, normals = measure(spec)
+    theta, u_nu, mean, std, e0, normals = measure(spec)
     traj = [ShapeState(0, spec, e0, mean, std, 0.0, spec.outer_area)]
     if std / mean <= flatness_tol:
         return FlowResult(tuple(traj), converged=True, stalled=False, reason="already flat")
@@ -159,31 +166,27 @@ def flow_to_constant_flux(spec: DomainSpec) -> FlowResult:
     current, e_cur = spec, e0
     for it in range(1, max_iters + 1):
         v_n = u_nu**2
-        v_n = v_n - float(
-            np.sum(v_n * current.boundary_speed(theta)) / np.sum(current.boundary_speed(theta))
-        )
-        scale = float(np.max(np.abs(v_n)))
-        step = 0.5 / scale
+        speed = current.boundary_speed(theta)
+        v_n = v_n - float(np.sum(v_n * speed) / np.sum(speed))
+        step = 0.5 / float(np.max(np.abs(v_n)))
         e_r = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         cosf = np.sum(normals * e_r, axis=1)
         r_cur = current.radius(theta)
-        accepted = False
         for _ in range(max_halvings + 1):
             try:
                 cand = _cosine_fit(r_cur + step * v_n / cosf, 16)
                 factor = math.sqrt(target_area / cand.outer_area)
                 cand = replace(cand, outer_radius=cand.outer_radius * factor)
-                m2, th2, u2, mean2, std2, e2, n2 = measure(cand)
+                th2, u2, mean2, std2, e2, n2 = measure(cand)
             except (SolverConvergenceError, ValueError):
                 step *= 0.5
                 continue
             # accept on nondecreasing energy; also require the flux spread not
             # to grow, which curbs full-step overshoot of individual modes
             if e2 >= e_cur - energy_tol and std2 <= std + 1e-12:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             return FlowResult(
                 tuple(traj), converged=False, stalled=True,
                 reason=f"stalled after {max_halvings} halvings at iteration {it}",

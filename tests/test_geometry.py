@@ -292,6 +292,24 @@ def admissible_domains(draw):
         assume(False)
 
 
+@settings(max_examples=60, deadline=None)
+@given(spec=admissible_domains())
+def test_bend_bound_keeps_the_outer_radius_positive(spec):
+    # DomainSpec checks only sum |eps_k| k^2 < 1; with k >= 1 that bounds
+    # sum |eps_k| below 1, so r >= R (1 - sum |eps_k|) > 0 without a scan
+    r = spec.radius(np.linspace(0.0, TWO_PI, 8192, endpoint=False))
+    floor = spec.outer_radius * (1.0 - sum(abs(e) for _, e in spec.fourier_modes))
+    assert np.min(r) > 0.0
+    assert np.min(r) >= floor * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("eps", [1.0 - 1e-6, -(1.0 - 1e-6)])
+def test_single_mode_just_below_the_bend_bound_stays_positive(eps):
+    spec = DomainSpec(1.0, ((1, eps),))
+    r = spec.radius(np.linspace(0.0, TWO_PI, 8192, endpoint=False))
+    assert 0.0 < np.min(r) <= 1.1e-6
+
+
 @settings(max_examples=40, deadline=None)
 @given(spec=admissible_domains(), seed=hst.integers(0, 2**32 - 1))
 def test_distance_to_outer_equals_full_seed_scan(spec, seed):

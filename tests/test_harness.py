@@ -324,6 +324,10 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
             "cauchy.eps",
         ),
         (OVERDETERMINED_RUN + "cauchy.k = 5\n", "cauchy.k"),
+        # the free-boundary builder makes its hole with g = 0, so another g
+        # used to be ignored
+        (SWEEP_EPS.replace("0.1, 0.0]]", "0.1, -0.5]]"), "domain.holes"),
+        (OVERDETERMINED_RUN.replace("0.1, 0.0]]", "0.1, -0.5]]"), "domain.holes"),
         # each point of a cauchy-literal eps sweep replaces the modes
         (
             SWEEP_EPS.replace('"overdetermined"', '"cauchy-literal"')
@@ -340,6 +344,7 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         "sweep-values-without-axis", "dirichlet-with-cauchy-c",
         "overdetermined-sweep-with-cauchy-k", "overdetermined-sweep-with-cauchy-eps",
         "literal-sweep-with-cauchy-eps", "overdetermined-run-with-cauchy-k",
+        "overdetermined-sweep-with-hole-value", "overdetermined-run-with-hole-value",
         "literal-sweep-with-modes",
     ],
 )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torsionlab import _kernels, geometry
 from torsionlab.geometry import DomainSpec, Hole, build_quadratures
 from torsionlab.identities import check_value_c, sample_field
 from torsionlab.shapeflow import (
@@ -11,7 +12,7 @@ from torsionlab.shapeflow import (
     flow_to_constant_flux,
     shape_gradient,
 )
-from torsionlab.solver import normal_derivative, solve_dirichlet
+from torsionlab.solver import evaluate, normal_derivative, solve_dirichlet
 from torsionlab.stability import pseudo_distance
 
 
@@ -39,19 +40,33 @@ def _volume_projected(spec, coeffs, n=1024):
 
 
 def test_energy_unit_ball():
-    assert abs(energy(DomainSpec(1.0)) - math.pi / 16.0) <= 1e-10
+    assert energy(DomainSpec(1.0)) == math.pi / 16.0
 
 
 def test_energy_scaling():
     # I(B_R) = pi R^4 / 16
-    assert abs(energy(DomainSpec(2.0)) - math.pi) <= 1e-9
+    assert energy(DomainSpec(2.0)) == math.pi
+
+
+def _area_rule_energy(spec):
+    """(1/2) integral |grad u|^2 on a 1024x96 polar area rule, from a solve
+    with 192 sources per ring: the oracle for the boundary form."""
+    model, _ = solve_dirichlet(spec, 192)
+    quads = build_quadratures(spec, 1024, 96)
+    _, grad, _ = evaluate(model, quads.area.nodes, "g")
+    return 0.5 * float(np.sum(np.sum(grad * grad, axis=1) * quads.area.weights))
 
 
 def test_energy_self_convergence():
-    spec = DomainSpec(1.0 / math.sqrt(1.0 + 0.05**2 / 2.0), ((2, 0.05),))  # area pi
-    coarse = energy(spec, n_src_per_ring=64, n_theta=128, n_r=24)
-    oracle = energy(spec, n_src_per_ring=192, n_theta=1024, n_r=96)
-    assert abs(coarse - oracle) <= 1e-5
+    # the boundary identity on 512 nodes against the area integral it replaces
+    for modes in (((2, 0.05),), ((3, 0.04), (2, 0.02))):
+        spec = DomainSpec(1.0, modes)
+        assert abs(energy(spec) - _area_rule_energy(spec)) <= 1e-12
+
+
+def test_energy_rejects_holes():
+    with pytest.raises(ValueError, match="hole-free"):
+        energy(DomainSpec(1.0, holes=(Hole((0.3, 0.0), 0.1, 0.0),)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +160,26 @@ def test_flow_energy_monotone_and_std_monotone(flow_result):
     stds = [s.u_nu_std for s in flow_result.trajectory]
     assert all(b >= a - 1e-9 for a, b in zip(energies, energies[1:]))
     assert all(b <= a + 1e-12 for a, b in zip(stds, stds[1:]))
+
+
+def test_flow_takes_its_energy_from_the_flux(monkeypatch):
+    # one Dirichlet solve and two kernel passes (its residual and u_nu) per
+    # measured shape, 14 shapes on (3, 0.05), and no area rule
+    calls = {"build_quadratures": 0, "log_source_fields": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(geometry, "build_quadratures")
+    counted(_kernels, "log_source_fields")
+    flow_to_constant_flux(DomainSpec(1.0, ((3, 0.05),)))
+    assert calls == {"build_quadratures": 0, "log_source_fields": 28}
 
 
 def test_flow_starts_at_stationary_ball():
