@@ -342,8 +342,11 @@ class DomainSpec:
     def _distance_to_outer(self, pts):
         """Distance from points to the outer curve: each point starts from its
         nearest seed (``_nearest_seed``) and is projected onto the curve by
-        ``_project``."""
+        ``_project``.  On a circle (no modes) the distance is |R - |x||, the
+        exact value rounded once, and no seed table is built."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if not self.fourier_modes:
+            return np.abs(self.outer_radius - np.hypot(pts[:, 0], pts[:, 1]))
         theta = self._seeds.theta[self._nearest_seed(pts)]
         return np.hypot(*(pts - self.boundary_point(self._project(pts, theta))).T)
 

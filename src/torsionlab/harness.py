@@ -364,6 +364,23 @@ def _check_combinations(cfg: ScenarioConfig, given: dict):
                 raise ConfigError(f"poincare.triples[{i}]", str(err)) from None
     if axis is None and cfg.sweep_values:
         raise ConfigError("sweep.values", "sweep values need a declared sweep.axis")
+    # the domain a run builds from the configured keys, built here so that
+    # validate rejects what run would; an overdetermined field and every
+    # sweep build their own curve or holes per point
+    try:
+        built = tuple(Hole((cx, cy), r, g) for cx, cy, r, g in holes)
+    except InvalidDomainError as err:
+        raise ConfigError("domain.holes", str(err)) from None
+    if kind == "overdetermined" or axis is not None:
+        return
+    try:
+        outer = DomainSpec(cfg.outer_radius, cfg.modes)
+    except InvalidDomainError as err:
+        raise ConfigError("domain.modes", str(err)) from None
+    try:
+        replace(outer, holes=built)
+    except InvalidDomainError as err:
+        raise ConfigError("domain.holes", str(err)) from None
 
 
 def load_config(path) -> ScenarioConfig:

@@ -311,10 +311,14 @@ def test_single_mode_just_below_the_bend_bound_stays_positive(eps):
 
 
 @settings(max_examples=40, deadline=None)
-@given(spec=admissible_domains(), seed=hst.integers(0, 2**32 - 1))
+@given(
+    spec=admissible_domains().filter(lambda spec: spec.fourier_modes),
+    seed=hst.integers(0, 2**32 - 1),
+)
 def test_distance_to_outer_equals_full_seed_scan(spec, seed):
     # the windowed search returns the scan's seed, so the projection and the
-    # distance are bitwise the scan's, inside and outside the curve
+    # distance are bitwise the scan's, inside and outside the curve; circles
+    # take the closed form (test_distance_to_outer_on_circles_is_closed_form)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, TWO_PI, 300)
     rho = rng.uniform(0.0, 1.3, 300) * spec.radius(theta)
@@ -322,7 +326,7 @@ def test_distance_to_outer_equals_full_seed_scan(spec, seed):
     _assert_distance_is_scan(spec, np.concatenate([scattered, _pinned_points(spec)]))
 
 
-@pytest.mark.parametrize("modes", [(), ((2, 0.1),), ((3, 0.1),), ((4, 0.05),), ((6, 0.02),)])
+@pytest.mark.parametrize("modes", [((2, 0.1),), ((3, 0.1),), ((4, 0.05),), ((6, 0.02),)])
 def test_distance_to_outer_breaks_exact_ties_like_the_scan(modes):
     # cosine curves are symmetric about the x-axis, and many mirrored seed
     # pairs are exact mirrors in floating point, so points on the axis (and
@@ -335,6 +339,41 @@ def test_distance_to_outer_breaks_exact_ties_like_the_scan(modes):
     d2 = (pts[:, 0, None] - bp[None, :, 0]) ** 2 + (pts[:, 1, None] - bp[None, :, 1]) ** 2
     assert np.any(np.sum(d2 == np.min(d2, axis=1, keepdims=True), axis=1) > 1)
     _assert_distance_is_scan(spec, pts)
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.7, 2.0])
+@pytest.mark.parametrize("hole", [None, (0.0, 0.0, 0.2), (0.3, -0.1, 0.1)])
+def test_distance_to_outer_on_circles_is_closed_form(radius, hole):
+    # on a circle the distance is |R - |x||, the exact value rounded once;
+    # the seed scan and its projection agree to a few ulps of R (1.34 eps R
+    # measured), at the origin and within 1e-13 of the curve on both sides
+    holes = () if hole is None else (Hole((hole[0] * radius, hole[1] * radius), hole[2] * radius),)
+    spec = DomainSpec(radius, (), holes)
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.0, TWO_PI, 2000)
+    rho = rng.uniform(0.0, 1.3, 2000) * radius
+    scattered = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
+    pts = np.concatenate([scattered, _pinned_points(spec)])
+    got = spec._distance_to_outer(pts)
+    assert np.array_equal(got, np.abs(radius - np.hypot(pts[:, 0], pts[:, 1])))
+    _, want = _scan_distance(spec, pts)
+    assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * radius
+
+
+def test_circle_distances_build_no_seed_table(monkeypatch):
+    # the annulus of configs/poincare.cfg: the growth samples' distances, the
+    # inscribed radius and the hole clearance take the closed form
+    projections = []
+    project = DomainSpec._project
+    monkeypatch.setattr(
+        DomainSpec, "_project", lambda s, p, th: projections.append(th.size) or project(s, p, th)
+    )
+    spec = DomainSpec(1.0, holes=(Hole((0.0, 0.0), 0.2),))
+    pts = random_interior_points(spec, 1000, np.random.default_rng(0))
+    distance_to_boundary(spec, pts)
+    interior_sphere_radius(spec)
+    assert "_seeds" not in spec.__dict__
+    assert projections == []
 
 
 @pytest.fixture(scope="module")
@@ -457,8 +496,10 @@ def test_interior_sphere_radius_pinned_on_shipped_domains(spec, expected, reques
     assert _full_bisection_radius(spec) == got
     monkeypatch.setattr(DomainSpec, "_nearest_seed", _scan_seed)
     assert interior_sphere_radius(spec) == got
-    # the last bits follow the platform's cos/arctan2/hypot; these reprs are
-    # those of numpy 2.4 on x86-64 glibc 2.36
+    # the last bits follow the platform's cos/arctan2/hypot, and those of the
+    # free-boundary repr also the BLAS kernel of the builder's lstsq (it moves
+    # 2 ulps under OPENBLAS_CORETYPE=Haswell); these reprs are those of numpy
+    # 2.4 with OpenBLAS's SkylakeX kernels on x86-64 glibc 2.36
     assert repr(got) == expected
 
 

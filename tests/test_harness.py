@@ -334,6 +334,13 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
             + "domain.modes = [[5, 0.3]]\n",
             "domain.modes",
         ),
+        # validate used to pass domains that run rejects as invariant
+        # violations: a negative hole radius, a hole across the outer curve
+        # and a curve beyond the bend bound
+        (shipped("stability_dirichlet").replace("0.12, -0.04", "-0.12, -0.04"), "domain.holes"),
+        (shipped("sweep_overdetermined").replace("0.1, 0.0]]", "-0.1, 0.0]]"), "domain.holes"),
+        (shipped("stability_dirichlet").replace("[[0.25,", "[[1.0,"), "domain.holes"),
+        (shipped("stability_dirichlet").replace("[[3, 0.08]]", "[[3, 0.2]]"), "domain.modes"),
     ],
     ids=[
         "unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes",
@@ -345,7 +352,9 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         "overdetermined-sweep-with-cauchy-k", "overdetermined-sweep-with-cauchy-eps",
         "literal-sweep-with-cauchy-eps", "overdetermined-run-with-cauchy-k",
         "overdetermined-sweep-with-hole-value", "overdetermined-run-with-hole-value",
-        "literal-sweep-with-modes",
+        "literal-sweep-with-modes", "dirichlet-negative-hole-radius",
+        "overdetermined-sweep-negative-hole-radius", "dirichlet-hole-across-curve",
+        "dirichlet-modes-beyond-bend-bound",
     ],
 )
 def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):

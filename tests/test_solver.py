@@ -266,6 +266,17 @@ def test_overdetermined_instance_exactness():
     assert np.max(evaluate_u(inst.model, bq.holes[0].nodes)) <= 0.0
 
 
+def test_overdetermined_instance_reuses_the_probe_pass_as_trial_step_0(monkeypatch):
+    # the probe's mu = 0 pass and the first trial step solve on the same
+    # starting state; one lstsq serves both, and the mu = 1e-2 probe is the
+    # only solve besides the trial steps
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    inst = overdetermined_instance(0.02)
+    assert len(calls) == inst.iterations + 1
+
+
 def test_overdetermined_instance_zero_offset_is_circular():
     # eps = 0 gives the concentric member: the outer curve is a circle about
     # the hole (radius gap ~ 0), while the pseudo-distance and asymmetry keep
