@@ -384,12 +384,13 @@ class DomainSpec:
     def _project(self, pts, theta):
         """Foot-point angles on the outer curve: Newton steps on the
         stationarity of |x(theta) - p|^2 from the starting angles theta (a
-        nearest or farthest sample), each clipped to 0.5; every point stops on
-        its own |step| < 16 eps max(1, |theta|), a few ulps of its angle, after
-        at most 40 steps, and at once where the Newton denominator |h| < 1e-14
-        (p at a centre of curvature, where every angle is a foot point)."""
+        nearest or farthest sample), each clipped to 0.5.  A point stops on
+        |step| < 16 eps max(1, |theta|), on |step| < 1e-9 no smaller than its
+        last (stepping between two angles), after 40 steps, and at once where
+        |h| < 1e-14 (p at a centre of curvature, every angle a foot point)."""
         theta = np.array(theta, dtype=float)
         active = np.arange(theta.size)  # points still taking Newton steps
+        last = np.full(theta.size, np.inf)  # each point's last |step|
         for _ in range(40):
             th, p = theta[active], pts[active]
             r, rp, rpp = self.radii(th)
@@ -406,8 +407,11 @@ class DomainSpec:
             step = np.zeros_like(g)
             step[moving] = np.clip(g[moving] / h[moving], -0.5, 0.5)
             theta[active] = th - step
+            size = np.abs(step)
             ulps = 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(th))
-            active = active[np.abs(step) >= ulps]
+            going = (size >= ulps) & ((size >= 1e-9) | (size < last[active]))
+            last[active] = size
+            active = active[going]
             if active.size == 0:
                 break
         return theta
@@ -636,11 +640,11 @@ def build_quadratures(spec: DomainSpec, n_theta: int = 256, n_r: int = 48) -> Qu
 
 
 def distance_to_boundary(spec: DomainSpec, pts):
-    """delta(x): distance to the union of all boundary components.
+    """delta(x) at the (n, 2) points pts: distance to the union of all
+    boundary components.
 
     Raises ExteriorPointError when any query point is outside the open region.
     """
-    single = np.asarray(pts, dtype=float).ndim == 1
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     inside = spec.contains(pts)
     if not np.all(inside):
@@ -650,7 +654,7 @@ def distance_to_boundary(spec: DomainSpec, pts):
     for hole in spec.holes:
         dh = np.hypot(pts[:, 0] - hole.center[0], pts[:, 1] - hole.center[1]) - hole.radius
         d = np.minimum(d, dh)
-    return float(d[0]) if single else d
+    return d
 
 
 def interior_sphere_radius(spec: DomainSpec, d_omega: float | None = None) -> float:

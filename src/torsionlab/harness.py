@@ -302,12 +302,6 @@ def _check_combinations(cfg: ScenarioConfig, given: dict):
             )
         if cfg.field_kind != "radial":
             raise ConfigError("field.kind", "hole_radius sweeps use field.kind=radial")
-        for i, v in enumerate(cfg.sweep_values):
-            if not 0 < v < cfg.outer_radius:
-                raise ConfigError(
-                    f"sweep.values[{i}]",
-                    f"hole radii must lie in (0, domain.outer_radius={cfg.outer_radius:g}), got {v!r}",
-                )
     elif axis == "eps":
         if cfg.field_kind not in ("overdetermined", "cauchy-literal"):
             raise ConfigError(
@@ -364,14 +358,20 @@ def _check_combinations(cfg: ScenarioConfig, given: dict):
                 raise ConfigError(f"poincare.triples[{i}]", str(err)) from None
     if axis is None and cfg.sweep_values:
         raise ConfigError("sweep.values", "sweep values need a declared sweep.axis")
-    # the domain a run builds from the configured keys, built here so that
-    # validate rejects what run would; an overdetermined field and every
-    # sweep build their own curve or holes per point
+    # the domain of every point a run builds, built here so that validate
+    # rejects what run would; an overdetermined field builds its own curve
     try:
         built = tuple(Hole((cx, cy), r, g) for cx, cy, r, g in holes)
     except InvalidDomainError as err:
         raise ConfigError("domain.holes", str(err)) from None
-    if kind == "overdetermined" or axis is not None:
+    if kind == "overdetermined":
+        return
+    if axis is not None:
+        for i, (*_, point) in enumerate(_point_configs(cfg)):
+            try:
+                _build_spec(point)
+            except InvalidDomainError as err:
+                raise ConfigError(f"sweep.values[{i}]", str(err)) from None
         return
     try:
         outer = DomainSpec(cfg.outer_radius, cfg.modes)
@@ -524,13 +524,12 @@ def run_identities(cfg: ScenarioConfig):
     return payload, tables, assertions
 
 
-def _points(cfg: ScenarioConfig):
-    """(label, axis, value, spec, model) of each point of a stability run:
+def _point_configs(cfg: ScenarioConfig):
+    """(label, axis, value, point config) of each point of a stability run:
     the configured instance without a sweep, else one point per sweep value,
-    the config with the swept field replaced and built like a single run."""
+    the config with the swept field replaced."""
     if cfg.sweep_axis is None:
-        spec, model, _ = _build_field(cfg)
-        yield "instance", "value", 0.0, spec, model
+        yield "instance", "value", 0.0, cfg
     for v in cfg.sweep_values:
         if cfg.sweep_axis == "hole_radius":
             point = replace(cfg, holes=((0.0, 0.0, v, (v**2 - cfg.outer_radius**2) / 4.0),))
@@ -538,8 +537,15 @@ def _points(cfg: ScenarioConfig):
             point = replace(cfg, modes=((cfg.cauchy_k, v),))
         else:
             point = replace(cfg, cauchy_eps=v)
+        yield f"{cfg.sweep_axis}={v:g}", cfg.sweep_axis, v, point
+
+
+def _points(cfg: ScenarioConfig):
+    """(label, axis, value, spec, model) of each point of a stability run,
+    each point config built like a single run."""
+    for label, axis, value, point in _point_configs(cfg):
         spec, model, _ = _build_field(point)
-        yield f"{cfg.sweep_axis}={v:g}", cfg.sweep_axis, v, spec, model
+        yield label, axis, value, spec, model
 
 
 def _stability_point(cfg: ScenarioConfig, point):

@@ -52,10 +52,10 @@ class IdentityReport:
 
 
 def p_function(model: FieldModel, pts):
-    """|grad u|^2 - (2/N) u, the subharmonic companion of the field."""
-    u, grad, _ = evaluate(model, np.atleast_2d(np.asarray(pts, dtype=float)), "ug")
-    out = np.sum(grad * grad, axis=1) - (2.0 / N_DIM) * u
-    return float(out[0]) if np.asarray(pts).ndim == 1 else out
+    """|grad u|^2 - (2/N) u at the (n, 2) points pts, the subharmonic
+    companion of the field."""
+    u, grad, _ = evaluate(model, pts, "ug")
+    return np.sum(grad * grad, axis=1) - (2.0 / N_DIM) * u
 
 
 def _deficit(hess):
@@ -66,19 +66,19 @@ def _deficit(hess):
 
 
 def cauchy_schwarz_deficit(model: FieldModel, pts):
-    """|hess u|_F^2 - (lap u)^2 / N >= 0; zero exactly for the radial field.
+    """|hess u|_F^2 - (lap u)^2 / N >= 0 at the (n, 2) points pts; zero
+    exactly for the radial field.
 
     Cross-checked against |hess h|_F^2 for h = quadratic - u, which is the
     same quantity by algebra; a value below -1e-12 signals an inconsistency.
     """
-    single = np.asarray(pts).ndim == 1
-    _, _, hess = evaluate(model, np.atleast_2d(np.asarray(pts, dtype=float)), "h")
+    _, _, hess = evaluate(model, pts, "h")
     out = _deficit(hess)
     if np.min(out) < -1e-12:
         raise ArithmeticError(
             f"negative Cauchy-Schwarz deficit {np.min(out):.3e}: Hessian inconsistency"
         )
-    return float(out[0]) if single else out
+    return out
 
 
 def _boundary_fields(bq, u, grad, hess):

@@ -72,13 +72,12 @@ def _energy(bq, u_nu) -> float:
     return 0.5 * float(np.sum(x2 / 4 * u_nu * bq.weights) - np.mean(x2 * x2 / 16) * TWO_PI)
 
 
-def energy(spec: DomainSpec, model: FieldModel | None = None) -> float:
-    """(1/2) integral |grad u|^2 of the torsion field of a hole-free spec, from its flux."""
+def energy(spec: DomainSpec) -> float:
+    """(1/2) integral |grad u|^2 of the torsion field of a hole-free spec, from
+    the flux of its Dirichlet solve."""
     if spec.holes:
         raise ValueError(f"the energy needs a hole-free domain, got {len(spec.holes)} holes")
-    if model is None:
-        model, _ = solve_dirichlet(spec)
-    return _energy(*_flux(spec, model))
+    return _energy(*_flux(spec, solve_dirichlet(spec)[0]))
 
 
 def _volume_project(v_n, weights):

@@ -78,12 +78,12 @@ class SolveDiagnostics:
 
 
 def evaluate(model: FieldModel, pts, want="ugh"):
-    """(u, grad, hess) at pts; hess has shape (n, 2, 2) and trace(hess) == 1.
+    """(u, grad, hess) at the (n, 2) points pts; hess has shape (n, 2, 2) and
+    trace(hess) == 1.
 
     want names the parts to compute (a non-empty subset of "ugh"); the others
     come back as None.
     """
-    single = np.asarray(pts, dtype=float).ndim == 1
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     u, grad, h3 = _kernels.log_source_fields(pts, model.sources, model.coeffs, want)
     diff = pts - model.anchor
@@ -98,12 +98,6 @@ def evaluate(model: FieldModel, pts, want="ugh"):
         hess[:, 0, 1] = h3[:, 1]
         hess[:, 1, 0] = h3[:, 1]
         hess[:, 1, 1] = h3[:, 2] + 0.5
-    if single:
-        return (
-            None if u is None else float(u[0]),
-            None if grad is None else grad[0],
-            None if hess is None else hess[0],
-        )
     return u, grad, hess
 
 
@@ -147,14 +141,18 @@ def radial_model(R: float, hole: Hole | None = None) -> FieldModel:
 # ---------------------------------------------------------------------------
 
 
-def _source_rings(spec: DomainSpec, holes, n: int, offset_ratio: float):
-    """n log sources on a ring outside the outer curve (offset_ratio times its
-    radius), then n on a ring inside each hole (its radius / offset_ratio)."""
+# the radius ratio of every fit's source rings to the curves they surround
+RING_OFFSET = 1.8
+
+
+def _source_rings(spec: DomainSpec, holes, n: int):
+    """n log sources on a ring outside the outer curve (RING_OFFSET times its
+    radius), then n on a ring inside each hole (its radius / RING_OFFSET)."""
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    rings = [(spec.radius(theta) * offset_ratio)[:, None] * circle]
+    rings = [(spec.radius(theta) * RING_OFFSET)[:, None] * circle]
     for hole in holes:
-        rings.append(np.asarray(hole.center) + (hole.radius / offset_ratio) * circle)
+        rings.append(np.asarray(hole.center) + (hole.radius / RING_OFFSET) * circle)
     return np.concatenate(rings)
 
 
@@ -219,7 +217,7 @@ def _boundary_residuals(model, spec, n_check, data_fn):
 def solve_dirichlet(
     spec: DomainSpec,
     n_src_per_ring: int = 96,
-    offset_ratio: float = 1.8,
+    *,
     residual_tol: float = 1e-6,
 ) -> tuple[FieldModel, SolveDiagnostics]:
     """Fit u = 0 on the outer curve and u = g on each hole boundary.
@@ -229,9 +227,7 @@ def solve_dirichlet(
     """
     if n_src_per_ring < 32:
         raise InvalidDomainError("n_src_per_ring must be >= 32")
-    if not 1.1 <= offset_ratio <= 3.0:
-        raise InvalidDomainError("offset_ratio must lie in [1.1, 3]")
-    sources = _source_rings(spec, spec.holes, n_src_per_ring, offset_ratio)
+    sources = _source_rings(spec, spec.holes, n_src_per_ring)
     n_col = 2 * n_src_per_ring
     theta_col = np.linspace(0.0, TWO_PI, n_col, endpoint=False)
     components = [(spec.boundary_point(theta_col), 0.0)]
@@ -277,13 +273,12 @@ def solve_cauchy(
     spec: DomainSpec,
     c: float,
     tikhonov: float | None = None,
-    n_src_per_ring: int = 128,
     residual_tol: float = 1e-6,
     future_holes: tuple[Hole, ...] = (),
 ) -> tuple[FieldModel, SolveDiagnostics]:
     """Joint fit of u = 0 and u_nu = c on the outer curve (no holes yet);
     the continued field is then valid in a neighborhood of the curve.  The
-    source rings sit at offset 1.8.
+    source rings hold 128 sources each.
 
     tikhonov=None selects the default weight 1e-10 * (largest singular value)^2;
     the misfit is inherently ill-posed, so failure to reach tolerance is
@@ -296,11 +291,9 @@ def solve_cauchy(
         raise InvalidDomainError("Cauchy continuation starts from a hole-free domain")
     if tikhonov is not None and tikhonov < 0:
         raise InvalidDomainError("tikhonov weight must be >= 0")
-    if n_src_per_ring < 32:
-        raise InvalidDomainError("n_src_per_ring must be >= 32")
-    sources = _source_rings(spec, future_holes, n_src_per_ring, 1.8)
+    sources = _source_rings(spec, future_holes, 128)
     n_src = sources.shape[0]
-    n_col = max(64, 2 * n_src_per_ring)
+    n_col = 256
     quads = build_boundary_quadrature(spec, n_col)
     bq = quads.gamma
     A_u = np.empty((bq.n_nodes, n_src + 1))
@@ -371,7 +364,7 @@ def overdetermined_instance(
 
     Everything is solved in hole-centered coordinates and then re-expanded
     about the origin so the hole lands at hole_center.  The discretization is
-    fixed: 14 shape modes, 96 outer and 48 hole sources (ring offset 1.8),
+    fixed: 14 shape modes, 96 outer and 48 hole sources (at RING_OFFSET),
     384 collocation nodes, at most 60 trial steps to a Neumann misfit below
     5e-11, and a 1e-8 check of both conditions on the final domain.
     """
@@ -379,7 +372,7 @@ def overdetermined_instance(
         raise ValueError("eps must be >= 0")
     n_modes, n_out, n_in, n_collocation, tol = 14, 96, 48, 384, 5e-11
     phi = np.linspace(0.0, TWO_PI, n_in, endpoint=False)
-    rin = hole_radius / 1.8
+    rin = hole_radius / RING_OFFSET
     inner = rin * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     q_fixed = (0.05 + (2.0 * eps) * np.cos(3 * phi)) / n_in
     dipole_pattern = np.cos(phi) / n_in
@@ -405,7 +398,7 @@ def overdetermined_instance(
         x, nrm = geo(th)
         tho = np.linspace(0.0, TWO_PI, n_out, endpoint=False)
         ro, _ = shape(tho)
-        out_src = 1.8 * np.stack([ro * np.cos(tho), ro * np.sin(tho)], axis=-1)
+        out_src = RING_OFFSET * np.stack([ro * np.cos(tho), ro * np.sin(tho)], axis=-1)
         q_in = q_fixed + mu * dipole_pattern
         A_u = np.empty((n_collocation, n_out + 1))
         A_u[:, :n_out] = _kernel_block(x, out_src)

@@ -157,7 +157,6 @@ class OscillationReport:
     p: float
     a_const: float
     alpha_const: float
-    variant: str = "mean"
 
     @property
     def holds(self) -> bool:
@@ -168,38 +167,15 @@ class OscillationReport:
         return self.rhs - self.lhs
 
 
-def _disk_quadrature(center, radius):
-    """24 Gauss radii by 64 equispaced angles on the disk."""
-    n_t = 64
-    xs, ws = np.polynomial.legendre.leggauss(24)
-    rho = 0.5 * radius * (xs + 1.0)
-    wr = 0.5 * radius * ws * rho
-    th = np.linspace(0.0, TWO_PI, n_t, endpoint=False)
-    nodes = np.asarray(center) + np.stack(
-        [np.outer(rho, np.cos(th)).ravel(), np.outer(rho, np.sin(th)).ravel()], axis=-1
-    )
-    weights = np.outer(wr, np.full(n_t, TWO_PI / n_t)).ravel()
-    return nodes, weights
-
-
 def check_oscillation_bound(
-    v_model,
-    spec: DomainSpec,
-    quads: Quadratures,
-    r_i: float,
-    p: float = 2.0,
-    variant: str = "mean",
+    v_model, spec: DomainSpec, quads: Quadratures, r_i: float, p: float
 ) -> OscillationReport:
-    """Oscillation of a harmonic field on the outer curve against its L^p bulk
-    deviation, with the explicit constants; applies only under the smallness
-    condition.  v_model has HarmonicField's fields(pts, want) method.
-
-    variant="mean" measures the deviation from the mean over the whole region;
-    variant="refined" measures ||v - mean||_p over the interior ball of
-    radius r_i tangent under the boundary point farthest from the regional
-    mean.  The gradient bound G is the sampled maximum of |grad v| over the
-    boundary layer, inflated by 5% so it is a genuine upper bound rather than
-    a discrete undershoot.
+    """Oscillation of a harmonic field on the outer curve against its L^p
+    deviation from the mean over the whole region, with the explicit
+    constants; applies only under the smallness condition.  v_model has
+    HarmonicField's fields(pts, want) method.  The gradient bound G is the
+    sampled maximum of |grad v| over the boundary layer, inflated by 5% so it
+    is a genuine upper bound rather than a discrete undershoot.
     """
     u_gamma, _ = v_model.fields(quads.bounds.gamma.nodes, "u")
     lhs = float(np.max(u_gamma) - np.min(u_gamma))
@@ -210,25 +186,8 @@ def check_oscillation_bound(
     a_const, alpha_const = oscillation_constants(N_DIM, p)
     v_area, _ = v_model.fields(quads.area.nodes, "u")
     v_mean = float(np.sum(v_area * quads.area.weights) / quads.area.total)
-
-    if variant == "mean":
-        norm = float(
-            np.sum(np.abs(v_area - v_mean) ** p * quads.area.weights) ** (1.0 / p)
-        )
-        r_eff = r_i
-    elif variant == "refined":
-        i_ext = int(np.argmax(np.abs(u_gamma - v_mean)))
-        x_bar = quads.bounds.gamma.nodes[i_ext]
-        nu_bar = quads.bounds.gamma.normals[i_ext]
-        x0 = x_bar - r_i * nu_bar
-        nodes, weights = _disk_quadrature(x0, r_i)
-        vals, _ = v_model.fields(nodes, "u")
-        norm = float(np.sum(np.abs(vals - v_mean) ** p * weights) ** (1.0 / p))
-        r_eff = r_i
-    else:
-        raise ValueError(f"unknown oscillation variant {variant!r}")
-
-    smallness_rhs = alpha_const * r_eff ** ((N_DIM + p) / p) * G
+    norm = float(np.sum(np.abs(v_area - v_mean) ** p * quads.area.weights) ** (1.0 / p))
+    smallness_rhs = alpha_const * r_i ** ((N_DIM + p) / p) * G
     applicable = norm <= smallness_rhs + 1e-12  # roundoff slack for G = 0
     rhs = a_const * G ** (N_DIM / (N_DIM + p)) * norm ** (p / (N_DIM + p))
     return OscillationReport(
@@ -241,7 +200,6 @@ def check_oscillation_bound(
         p=p,
         a_const=a_const,
         alpha_const=alpha_const,
-        variant=variant,
     )
 
 
@@ -350,16 +308,18 @@ def poincare_ratio_experiment(
     fields=None,
     n_fields: int = 50,
     seed: int = 0,
-    r_i: float | None = None,
-    d_omega: float | None = None,
+    *,
+    r_i: float,
+    d_omega: float,
 ) -> list[PoincareReport]:
     """Empirical ||v - mean||_r / ||delta^alpha grad v||_p over random harmonic
     fields, one report per (r, p, alpha) triple, against the normalized
     closed-form bound (prefactor unknown in the theory, set to 1 and flagged
     as such).
 
-    Every triple is validated before any work; each field is evaluated once
-    (u and grad together) and its arrays serve all triples.
+    r_i and d_omega are the interior-sphere radius and the diameter the bound
+    reads.  Every triple is validated before any work; each field is
+    evaluated once (u and grad together) and its arrays serve all triples.
     """
     triples = [tuple(t) for t in triples]
     cases = [validate_poincare_triple(r, p, alpha) for r, p, alpha in triples]
@@ -385,8 +345,6 @@ def poincare_ratio_experiment(
                 ** (1.0 / p)
             )
             out.append(0.0 if den == 0.0 else num / den)
-    d_omega = diameter(spec) if d_omega is None else d_omega
-    r_i = interior_sphere_radius(spec, d_omega=d_omega) if r_i is None else r_i
     return [
         PoincareReport(
             case=case,
@@ -600,7 +558,6 @@ def stability_report(
     quads: Quadratures,
     label: str = "",
     regime: str = "sphere-condition",
-    theta: float = 0.01,
     tol_overdet: float = 1e-6,
     waive_overdetermination: bool = False,
     z_override=None,
@@ -668,7 +625,7 @@ def stability_report(
     perim = spec.holes_perimeter  # the smallness driver eta
     dbar = max((2.0 * h.radius for h in spec.holes), default=0.0)
     psi = psi_c2(K, perim)
-    tau = radii_gap_exponent(N_DIM, "john-relaxed" if regime == "john-relaxed" else "sphere-condition", theta)
+    tau = radii_gap_exponent(N_DIM, "john-relaxed" if regime == "john-relaxed" else "sphere-condition")
 
     ratios = {}
     if z_inside and perim > 0:

@@ -121,7 +121,7 @@ def test_criterion_1_exact_radial_identities():
 def test_criterion_2_solver_fidelity():
     t0 = time.perf_counter()
     ball = DomainSpec(1.0)
-    model, diag = solve_dirichlet(ball, 96, 1.8)
+    model, diag = solve_dirichlet(ball, 96)
     rng = np.random.default_rng(2)
     pts = random_interior_points(ball, 1000, rng)
     err = float(np.max(np.abs(evaluate_u(model, pts) - (np.sum(pts**2, axis=1) - 1.0) / 4.0)))
@@ -136,7 +136,7 @@ def test_criterion_2_solver_fidelity():
 
 def test_criterion_3_generic_identity_convergence():
     spec = DomainSpec(1.0, ((3, 0.1),), (Hole((0.3, 0.1), 0.15, -0.05),))
-    model, _ = solve_dirichlet(spec, 96, 1.8)
+    model, _ = solve_dirichlet(spec, 96)
     coarse = sample_field(model, build_quadratures(spec, 64, 12))
     fine = sample_field(model, build_quadratures(spec, 128, 24))
     ok = True
@@ -165,6 +165,7 @@ def test_criterion_4_ball_equality_case(tmp_path):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="Cauchy continuation of a k=3-perturbed circle is singular at the "
     "origin, outside the prescribed hole; the overdetermination hypothesis "
     "cannot reach 1e-6 for eps in {0.005, 0.01, 0.02} with hole-confined "
@@ -175,9 +176,7 @@ def test_criterion_5_literal_cauchy_family():
     worst = 0.0
     for eps in (0.005, 0.01, 0.02):
         bare = DomainSpec(1.0, ((3, eps),))
-        model, diag = solve_cauchy(
-            bare, 0.5, n_src_per_ring=128, future_holes=(hole,), residual_tol=np.inf
-        )
+        model, diag = solve_cauchy(bare, 0.5, future_holes=(hole,), residual_tol=np.inf)
         bq = build_boundary_quadrature(bare, 1024).gamma
         dev = float(np.max(np.abs(normal_derivative(model, bq.nodes, bq.normals) - 0.5)))
         worst = max(worst, dev)
@@ -225,9 +224,9 @@ def test_criterion_6_pointwise_lemmas(overdetermined_family):
         spec, model = _radial_instance(rho)
         pool.append((f"radial-{rho:g}", spec, model))
     ball = DomainSpec(1.0)
-    pool.append(("ball-solve", ball, solve_dirichlet(ball, 96, 1.8)[0]))
+    pool.append(("ball-solve", ball, solve_dirichlet(ball, 96)[0]))
     generic = DomainSpec(1.0, ((3, 0.1),), (Hole((0.3, 0.1), 0.15, -0.05),))
-    pool.append(("generic", generic, solve_dirichlet(generic, 96, 1.8)[0]))
+    pool.append(("generic", generic, solve_dirichlet(generic, 96)[0]))
     for eps, inst, _ in overdetermined_family:
         pool.append((f"overdet-{eps:g}", inst.spec, inst.model))
     total_violations = 0

@@ -171,16 +171,16 @@ def test_area_nodes_strictly_interior(annulus):
 
 
 def test_delta_annulus_hand_value(annulus):
-    assert abs(distance_to_boundary(annulus, (0.6, 0.0)) - 0.4) <= 1e-12
+    assert abs(distance_to_boundary(annulus, [(0.6, 0.0)])[0] - 0.4) <= 1e-12
 
 
 def test_delta_ball_center(ball):
-    assert abs(distance_to_boundary(ball, (0.0, 0.0)) - 1.0) <= 1e-12
+    assert abs(distance_to_boundary(ball, [(0.0, 0.0)])[0] - 1.0) <= 1e-12
 
 
 def test_delta_matches_dense_sampling_oracle():
     spec = DomainSpec(1.0, ((1, 0.05),))
-    d = distance_to_boundary(spec, (0.5, 0.0))
+    d = distance_to_boundary(spec, [(0.5, 0.0)])[0]
     theta = np.linspace(0.0, TWO_PI, 1_000_000, endpoint=False)
     bp = spec.boundary_point(theta)
     brute = float(np.min(np.hypot(bp[:, 0] - 0.5, bp[:, 1])))
@@ -206,9 +206,9 @@ def test_distance_to_outer_matches_dense_sampling_near_medial_axis():
 
 def test_delta_rejects_exterior_point(annulus):
     with pytest.raises(ExteriorPointError):
-        distance_to_boundary(annulus, (1.5, 0.0))
+        distance_to_boundary(annulus, [(1.5, 0.0)])
     with pytest.raises(ExteriorPointError):
-        distance_to_boundary(annulus, (0.05, 0.0))  # inside the hole
+        distance_to_boundary(annulus, [(0.05, 0.0)])  # inside the hole
 
 
 @settings(max_examples=25, deadline=None)
@@ -460,6 +460,43 @@ def test_projection_stops_within_ulps_of_the_angle(monkeypatch):
     assert len(passes) <= 4
 
 
+@pytest.mark.parametrize(
+    "spec, r_i",
+    [
+        (DomainSpec(1.0, ((3, 0.08),)), "0.648"),
+        (DomainSpec(1.0, ((2, 0.04),)), "0.9013333333333333"),
+        # criterion 6's generic domain
+        (DomainSpec(1.0, ((3, 0.1),), (Hole((0.3, 0.1), 0.15),)), "0.2558527494343594"),
+    ],
+    ids=["k3", "k2", "criterion-6-generic"],
+)
+def test_projection_stops_when_its_step_stagnates(monkeypatch, spec, r_i):
+    # interior_sphere_radius's cap test puts centres next to a centre of
+    # curvature, where a point steps back and forth between two angles with
+    # |step| of 7e-15 to 8e-14, above its ulp stop: it used to take all 40
+    # passes, which buy nothing, as every angle there is nearly a foot point
+    passes, inside = [], []  # radii calls per _project call; one per pass
+    project, radii = DomainSpec._project, DomainSpec.radii
+
+    def counted_project(s, pts, theta):
+        passes.append(0)
+        inside.append(True)
+        try:
+            return project(s, pts, theta)
+        finally:
+            inside.pop()
+
+    def counted_radii(s, theta):
+        if inside:
+            passes[-1] += 1
+        return radii(s, theta)
+
+    monkeypatch.setattr(DomainSpec, "_project", counted_project)
+    monkeypatch.setattr(DomainSpec, "radii", counted_radii)
+    assert repr(interior_sphere_radius(spec)) == r_i
+    assert passes and max(passes) < 40
+
+
 # ---------------------------------------------------------------------------
 # Interior sphere radius, diameter, radii about a point
 # ---------------------------------------------------------------------------
@@ -599,7 +636,7 @@ def test_interior_sphere_estimate_admits_tangent_ball(annulus):
     p = annulus.boundary_point(np.array([0.3]))[0]
     nu = annulus.boundary_normal(np.array([0.3]))[0]
     center = p - r_i * nu
-    assert distance_to_boundary(annulus, center) >= r_i - 1e-8
+    assert distance_to_boundary(annulus, [center])[0] >= r_i - 1e-8
 
 
 def test_diameter_values(ball):

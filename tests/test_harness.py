@@ -341,6 +341,16 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         (shipped("sweep_overdetermined").replace("0.1, 0.0]]", "-0.1, 0.0]]"), "domain.holes"),
         (shipped("stability_dirichlet").replace("[[0.25,", "[[1.0,"), "domain.holes"),
         (shipped("stability_dirichlet").replace("[[3, 0.08]]", "[[3, 0.2]]"), "domain.modes"),
+        # validate used to build no sweep point's domain, and sweep then
+        # exited 2 on the invariant without naming a key
+        (
+            SWEEP_EPS.replace('"overdetermined"', '"cauchy-literal"').replace(
+                "[0.01, 0.02]", "[0.2]"
+            )
+            + "cauchy.k = 3\n",
+            "sweep.values[0]",
+        ),
+        (SWEEP_RADIAL.replace("[0.05,", "[-0.05,"), "sweep.values[0]"),
     ],
     ids=[
         "unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes",
@@ -354,7 +364,8 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         "overdetermined-sweep-with-hole-value", "overdetermined-run-with-hole-value",
         "literal-sweep-with-modes", "dirichlet-negative-hole-radius",
         "overdetermined-sweep-negative-hole-radius", "dirichlet-hole-across-curve",
-        "dirichlet-modes-beyond-bend-bound",
+        "dirichlet-modes-beyond-bend-bound", "literal-sweep-point-beyond-bend-bound",
+        "hole-radius-sweep-negative-radius",
     ],
 )
 def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):
@@ -528,7 +539,7 @@ def test_run_report_serializes_field_model(tmp_path):
     oracle = radial_model(1.0, Hole((0.0, 0.0), 0.2, -0.24))
     pts = [(0.5, 0.0), (0.0, -0.7), (0.3, 0.3)]
     for pt in pts:
-        assert abs(evaluate_u(clone, pt) - evaluate_u(oracle, pt)) <= 1e-12
+        assert abs(evaluate_u(clone, [pt])[0] - evaluate_u(oracle, [pt])[0]) <= 1e-12
 
 
 def test_run_pins_blas_to_one_thread(tmp_path, monkeypatch):

@@ -211,7 +211,7 @@ def test_flow_realizes_overdetermined_condition(flow_result):
     # at termination the boundary flux is numerically constant and the curve
     # is the matching sphere to within the pseudo-distance tolerance
     spec = flow_result.final.spec
-    model, _ = solve_dirichlet(spec, 96, 1.8)
+    model, _ = solve_dirichlet(spec, 96)
     quads = build_quadratures(spec, 256, 48)
     bq = quads.bounds.gamma
     c = check_value_c(spec, *sample_field(model, quads)[1:]).lhs / bq.arc_length

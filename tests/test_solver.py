@@ -33,16 +33,16 @@ TWO_PI = 2.0 * math.pi
 
 def test_radial_model_evaluation():
     model = radial_model(1.0)
-    u, grad, hess = evaluate(model, (0.6, 0.0))
-    assert abs(u - (-0.16)) <= 1e-14
-    assert np.allclose(grad, [0.3, 0.0], atol=1e-14)
-    assert np.allclose(hess, np.eye(2) / 2.0, atol=1e-14)
+    u, grad, hess = evaluate(model, [(0.6, 0.0)])
+    assert abs(u[0] - (-0.16)) <= 1e-14
+    assert np.allclose(grad[0], [0.3, 0.0], atol=1e-14)
+    assert np.allclose(hess[0], np.eye(2) / 2.0, atol=1e-14)
 
 
 def test_radial_model_annulus_matches_data():
     m = radial_model(1.0, Hole((0.0, 0.0), 0.2, -0.05))
-    assert abs(evaluate_u(m, (1.0, 0.0))) <= 1e-14
-    assert abs(evaluate_u(m, (0.0, 0.2)) - (-0.05)) <= 1e-14
+    assert abs(evaluate_u(m, [(1.0, 0.0)])[0]) <= 1e-14
+    assert abs(evaluate_u(m, [(0.0, 0.2)])[0] - (-0.05)) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -67,7 +67,7 @@ def test_radial_model_rejects_hole(hole, match):
 
 
 def test_ball_reproduces_radial_field(ball, rng):
-    model, diag = solve_dirichlet(ball, 96, 1.8)
+    model, diag = solve_dirichlet(ball, 96)
     assert diag.max_residual <= 1e-9
     pts = random_interior_points(ball, 1000, rng)
     u = evaluate_u(model, pts)
@@ -78,7 +78,7 @@ def test_ball_reproduces_radial_field(ball, rng):
 def test_annulus_with_radial_datum(rng):
     rho = 0.2
     spec = DomainSpec(1.0, holes=(Hole((0.0, 0.0), rho, (rho**2 - 1) / 4.0),))
-    model, diag = solve_dirichlet(spec, 96, 1.8)
+    model, diag = solve_dirichlet(spec, 96)
     pts = random_interior_points(spec, 1000, rng)
     u = evaluate_u(model, pts)
     ref = (np.sum(pts**2, axis=1) - 1.0) / 4.0
@@ -87,7 +87,7 @@ def test_annulus_with_radial_datum(rng):
 
 def test_annulus_generic_datum_matches_closed_form(rng):
     spec = DomainSpec(1.0, holes=(Hole((0.0, 0.0), 0.2, -0.05),))
-    model, _ = solve_dirichlet(spec, 96, 1.8)
+    model, _ = solve_dirichlet(spec, 96)
     oracle = radial_model(1.0, Hole((0.0, 0.0), 0.2, -0.05))
     pts = random_interior_points(spec, 500, rng)
     assert np.max(np.abs(evaluate_u(model, pts) - evaluate_u(oracle, pts))) <= 1e-8
@@ -100,16 +100,14 @@ def test_positive_hole_datum_rejected():
 
 def test_parameter_preconditions(ball):
     with pytest.raises(InvalidDomainError):
-        solve_dirichlet(ball, 16, 1.8)
-    with pytest.raises(InvalidDomainError):
-        solve_dirichlet(ball, 96, 5.0)
+        solve_dirichlet(ball, 16)
 
 
 def test_self_convergence_in_source_count():
     spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
     residuals = []
     for n in (32, 64, 128):
-        _, diag = solve_dirichlet(spec, n, 1.8, residual_tol=np.inf)
+        _, diag = solve_dirichlet(spec, n, residual_tol=np.inf)
         residuals.append(diag.max_residual)
     for coarse, fine in zip(residuals, residuals[1:]):
         assert fine <= coarse / 10.0 or fine <= 1e-10  # floor clause
@@ -122,7 +120,7 @@ def test_self_convergence_in_source_count():
 
 def test_exact_pde_everywhere(rng):
     spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
-    model, _ = solve_dirichlet(spec, 64, 1.8)
+    model, _ = solve_dirichlet(spec, 64)
     pts = random_interior_points(spec, 10_000, rng)
     _, _, hess = evaluate(model, pts)
     trace = hess[:, 0, 0] + hess[:, 1, 1]
@@ -132,7 +130,7 @@ def test_exact_pde_everywhere(rng):
 def test_companion_harmonic_part(rng):
     # h = quadratic - u has identically vanishing Laplacian
     spec = DomainSpec(1.0, ((2, 0.05),))
-    model, _ = solve_dirichlet(spec, 64, 1.8)
+    model, _ = solve_dirichlet(spec, 64)
     pts = random_interior_points(spec, 2000, rng)
     _, _, hess = evaluate(model, pts)
     h_lap = (0.5 - hess[:, 0, 0]) + (0.5 - hess[:, 1, 1])
@@ -141,7 +139,7 @@ def test_companion_harmonic_part(rng):
 
 def test_finite_difference_derivatives(rng):
     spec = DomainSpec(1.0, ((3, 0.05),))
-    model, _ = solve_dirichlet(spec, 64, 1.8)
+    model, _ = solve_dirichlet(spec, 64)
     pts = random_interior_points(spec, 100, rng)
     pts = pts[distance_to_boundary(spec, pts) > 0.05][:50]
     assert len(pts) == 50
@@ -165,14 +163,14 @@ def test_finite_difference_derivatives(rng):
 
 def test_maximum_principle(rng):
     spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
-    model, _ = solve_dirichlet(spec, 96, 1.8)
+    model, _ = solve_dirichlet(spec, 96)
     pts = random_interior_points(spec, 5000, rng)
     assert np.max(evaluate_u(model, pts)) <= 1e-9
 
 
 def test_symmetric_evaluation():
     spec = DomainSpec(1.0, ((2, 0.06),))  # cosine modes: symmetric in the x-axis
-    model, _ = solve_dirichlet(spec, 64, 1.8)
+    model, _ = solve_dirichlet(spec, 64)
     pts = np.array([[0.3, 0.4], [0.1, -0.2], [-0.5, 0.3]])
     mirrored = pts * np.array([1.0, -1.0])
     assert np.max(np.abs(evaluate_u(model, pts) - evaluate_u(model, mirrored))) <= 1e-10
@@ -180,7 +178,7 @@ def test_symmetric_evaluation():
 
 def test_model_serialization_roundtrip():
     spec = DomainSpec(1.0, ((2, 0.05),))
-    model, _ = solve_dirichlet(spec, 48, 1.8)
+    model, _ = solve_dirichlet(spec, 48)
     clone = FieldModel.from_dict(model.to_dict())
     pts = np.array([[0.2, 0.1], [-0.4, 0.3]])
     assert np.allclose(evaluate_u(model, pts), evaluate_u(clone, pts), atol=0, rtol=0)
