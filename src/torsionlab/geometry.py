@@ -121,7 +121,15 @@ class DomainSpec:
                 f"sum |eps_k| k^2 = {bend:.6g} must be < 1 for a C^2 outer curve"
             )
         # k >= 1 makes sum |eps_k| < 1 too, so r(theta) >= R (1 - sum |eps_k|) > 0
+        floor = self.outer_radius * (1.0 - sum(abs(e) for _, e in self.fourier_modes))
         for i, hole in enumerate(self.holes):
+            # every curve point has |x| >= floor, so floor - |c| - radius bounds
+            # the clearance below; beyond the rounding of a computed distance
+            # (_rounding) it passes the exact test below, which a hole it does
+            # not clear takes (and with it the seed table)
+            size = math.hypot(*hole.center)
+            if floor - size - hole.radius > self._rounding(size):
+                continue
             c = np.asarray(hole.center, dtype=float)
             if not self._inside_outer(c[None, :])[0]:
                 raise InvalidDomainError(f"hole {i} center lies outside the outer curve")
@@ -341,14 +349,37 @@ class DomainSpec:
 
     def _distance_to_outer(self, pts):
         """Distance from points to the outer curve: each point starts from its
-        nearest seed (``_nearest_seed``) and is projected onto the curve by
-        ``_project``.  On a circle (no modes) the distance is |R - |x||, the
-        exact value rounded once, and no seed table is built."""
+        nearest seed (``_seed_distance``) and is projected onto the curve by
+        ``_project``.  The result is capped by the distance D to the seed,
+        itself a curve point: next to a centre of curvature the projection
+        can end a little uphill of its start (by 1.5e-8 on ((7, -0.0147),
+        (18, 0.000218))).  So the result never exceeds D, which
+        ``distance_bounds`` takes as its upper end.  On a circle (no modes)
+        the distance is |R - |x||, the exact value rounded once, and no seed
+        table is built."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if not self.fourier_modes:
             return np.abs(self.outer_radius - np.hypot(pts[:, 0], pts[:, 1]))
-        theta = self._seeds.theta[self._nearest_seed(pts)]
-        return np.hypot(*(pts - self.boundary_point(self._project(pts, theta))).T)
+        near, seed_distance = self._seed_distance(pts)
+        foot = self.boundary_point(self._project(pts, self._seeds.theta[near]))
+        return np.minimum(np.hypot(*(pts - foot).T), seed_distance)
+
+    def _seed_distance(self, pts):
+        """(index, distance) of each point's nearest seed (``_nearest_seed``),
+        the distance taken to the seed table's curve point, which is bitwise
+        ``boundary_point`` at the seed's angle."""
+        near = self._nearest_seed(pts)
+        seeds = self._seeds
+        return near, np.hypot(pts[:, 0] - seeds.x[near], pts[:, 1] - seeds.y[near])
+
+    def _rounding(self, size):
+        """16 eps ((n + 32)(1 + K) R + size), for n modes with K = sum k
+        |eps_k|: an allowance above the rounding of the distance from points
+        of norm ``size`` to the outer curve, of the nearest seed's distance
+        and of ``distance_bounds``'s lower end (proof there)."""
+        bend = sum(k * abs(e) for k, e in self.fourier_modes)
+        scale = (len(self.fourier_modes) + 32) * (1.0 + bend) * self.outer_radius
+        return 16.0 * np.finfo(float).eps * (scale + size)
 
     def _nearest_seed(self, pts):
         """Index of each point's nearest of the 720 seeds, the lowest index
@@ -639,6 +670,21 @@ def build_quadratures(spec: DomainSpec, n_theta: int = 256, n_r: int = 48) -> Qu
 # ---------------------------------------------------------------------------
 
 
+def _require_inside(spec: DomainSpec, pts):
+    inside = spec.contains(pts)
+    if not np.all(inside):
+        bad = pts[~inside][0]
+        raise ExteriorPointError(f"point {tuple(bad)} is outside the region")
+
+
+def _nearer_hole(spec: DomainSpec, pts, d):
+    """d, or each point's distance to a hole circle where that is less."""
+    for hole in spec.holes:
+        dh = np.hypot(pts[:, 0] - hole.center[0], pts[:, 1] - hole.center[1]) - hole.radius
+        d = np.minimum(d, dh)
+    return d
+
+
 def distance_to_boundary(spec: DomainSpec, pts):
     """delta(x) at the (n, 2) points pts: distance to the union of all
     boundary components.
@@ -646,15 +692,58 @@ def distance_to_boundary(spec: DomainSpec, pts):
     Raises ExteriorPointError when any query point is outside the open region.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    inside = spec.contains(pts)
-    if not np.all(inside):
-        bad = pts[~inside][0]
-        raise ExteriorPointError(f"point {tuple(bad)} is outside the region")
-    d = spec._distance_to_outer(pts)
-    for hole in spec.holes:
-        dh = np.hypot(pts[:, 0] - hole.center[0], pts[:, 1] - hole.center[1]) - hole.radius
-        d = np.minimum(d, dh)
-    return d
+    _require_inside(spec, pts)
+    return _nearer_hole(spec, pts, spec._distance_to_outer(pts))
+
+
+def distance_bounds(spec: DomainSpec, pts):
+    """(lo, hi) with lo <= delta <= hi at the (n, 2) points pts, for delta
+    the floats ``distance_to_boundary`` returns there, from the nearest-seed
+    search alone: no projection.
+
+    On a curve with modes, hi = min(D, d_holes) and lo = min(max(D - L/2 -
+    rho, 0), d_holes), with D the distance to the nearest of the 720 seeds
+    (``_seed_distance``) and d_holes the hole distances, both bitwise those
+    of ``distance_to_boundary``, whose outer distance is capped by the same
+    D (``_distance_to_outer``), so hi holds bit for bit.  L = (2 pi / 720) R
+    sqrt((1 + sum |eps_k|)^2 + (sum k |eps_k|)^2) bounds the arc between
+    neighbouring seeds, as R (1 + sum |eps_k|) bounds r and R sum k |eps_k|
+    bounds |r'|.  The foot point lies on such an arc, so one of its end
+    seeds is within L/2 of it, and D <= d + L/2 for d the exact distance.
+
+    rho = ``spec._rounding(|p|)`` = 16 eps ((n + 32)(1 + K) R + |p|), with
+    K = sum k |eps_k| >= sum |eps_k| and B = R (1 + K) >= r, covers the
+    rounding.  A projected angle has |theta| < 27, 40 Newton steps of at
+    most 0.5 from a seed in [0, 2 pi).  So each k theta is within 14 k eps,
+    each cos within 4 ulps, r(theta) within eps (n + 18)(1 + K) R and a
+    computed curve point within e = 2 eps (n + 23)(1 + K) R of the exact
+    point at its angle.  A computed distance (differences, squares, hypot)
+    is within 3 eps (|p| + B) of the exact distance of its rounded
+    operands.  The seed angles are 2 pi / 720 apart to 4 ulps of 2 pi, which
+    lengthens an arc by under 18 eps B.  The chosen seed's computed squared
+    distance is the least, so D exceeds the distance of the seed nearest
+    the foot point by at most e + 3 eps (|p| + B).  The projected distance is
+    at least d - e - 3 eps (|p| + B), and D - L/2 - rho is rounded within
+    eps (|p| + 2B).  All of these sum to at most eps ((4n + 120)(1 + K) R +
+    7 |p|), below rho, so lo holds bit for bit too.  The max(., 0) keeps lo
+    a distance: the growth slack falls with delta only for delta >= 0.
+
+    On a circle the distance is a closed form and lo = hi = delta.  Raises
+    ExteriorPointError as ``distance_to_boundary`` does.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if not spec.fourier_modes:
+        delta = distance_to_boundary(spec, pts)
+        return delta, delta
+    _require_inside(spec, pts)
+    _, seed_distance = spec._seed_distance(pts)
+    size = sum(abs(e) for _, e in spec.fourier_modes)
+    bend = sum(k * abs(e) for k, e in spec.fourier_modes)
+    arc = TWO_PI / spec._seeds.theta.size * spec.outer_radius * math.hypot(1.0 + size, bend)
+    rho = spec._rounding(np.hypot(pts[:, 0], pts[:, 1]))
+    hi = _nearer_hole(spec, pts, seed_distance)
+    # min(lo_outer, hi) = min(lo_outer, d_holes), as lo_outer <= D
+    return np.minimum(np.maximum(seed_distance - 0.5 * arc - rho, 0.0), hi), hi
 
 
 def interior_sphere_radius(spec: DomainSpec, d_omega: float | None = None) -> float:

@@ -25,6 +25,7 @@ from .geometry import (
     DomainSpec,
     Quadratures,
     diameter,
+    distance_bounds,
     distance_to_boundary,
     enclosing_inscribed_radii,
     interior_sphere_radius,
@@ -106,15 +107,36 @@ def _pointwise_report(name, pts, slack) -> PointwiseCheckReport:
     )
 
 
+def _growth_slack(u, delta, r_i):
+    return np.minimum(-u - delta * delta / (2.0 * N_DIM), -u - (r_i / (2.0 * N_DIM)) * delta)
+
+
 def check_growth(model: FieldModel, spec: DomainSpec, pts, r_i: float) -> PointwiseCheckReport:
     """-u >= delta^2/(2N) and -u >= (r_i/2N) * delta at the sample points, up
-    to a slack of 1e-9."""
+    to a slack of 1e-9, for r_i >= 0.
+
+    The distance delta is needed only where the bracket lo <= delta <= hi of
+    ``distance_bounds`` (the nearest seed's distance D, D - L/2 - rho
+    clamped at 0, and the hole distances) cannot decide the report.  For
+    delta >= 0 the computed slack falls as delta grows, since every rounding
+    is monotone, so slack(hi) <= slack(delta) <= slack(lo).  A sample is
+    projected (``distance_to_boundary``) where lo < hi and either slack(hi)
+    <= min slack(lo), the least slack's upper bound, or slack(hi) < -1e-9.
+    Any other sample has lo = hi = delta, or a slack above the least one and
+    at or above -1e-9 whatever its delta.  So the least slack, the violation
+    count and the witness come from the same expressions on the same delta
+    as a projection at every sample, and 11 to 13 of 10,000 samples are
+    projected on the shipped curves with modes.  On a circle lo = hi.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     u = evaluate_u(model, pts)
-    delta = distance_to_boundary(spec, pts)
-    slack_sq = -u - delta * delta / (2.0 * N_DIM)
-    slack_lin = -u - (r_i / (2.0 * N_DIM)) * delta
-    return _pointwise_report("growth", pts, np.minimum(slack_sq, slack_lin))
+    lo, hi = distance_bounds(spec, pts)
+    slack = _growth_slack(u, hi, r_i)  # exact where lo = hi, else a lower bound
+    need = lo < hi
+    if np.any(need):
+        need &= (slack <= np.min(_growth_slack(u, lo, r_i))) | (slack < -1e-9)
+        slack[need] = _growth_slack(u[need], distance_to_boundary(spec, pts[need]), r_i)
+    return _pointwise_report("growth", pts, slack)
 
 
 def check_hopf(gamma_quad: BoundaryQuadrature, u_nu, r_i: float) -> PointwiseCheckReport:

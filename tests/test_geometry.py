@@ -49,6 +49,43 @@ def test_rejects_hole_touching_outer_curve():
         DomainSpec(1.0, holes=(Hole((0.9, 0.0), 0.3, -0.1),))
 
 
+def test_hole_clearance_bound_builds_no_seed_table():
+    # the domain of configs/stability_dirichlet.cfg: R (1 - sum |eps_k|) - |c|
+    # - radius clears the hole, so construction evaluates no curve sample
+    spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
+    assert "_seeds" not in spec.__dict__
+    assert "_band" not in spec.__dict__
+
+
+def test_hole_clearance_falls_back_to_the_distance():
+    # the curve dips to 0.92 at theta = pi/3, so the bound cannot clear this
+    # hole (clearance 0.13 at its nearest point); the exact test accepts it
+    spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.8, 0.0), 0.15),))
+    assert "_seeds" in spec.__dict__
+
+
+@pytest.mark.parametrize(
+    "hole, message",
+    [
+        (
+            Hole((-0.8, 0.0), 0.12),
+            "hole 0 is not strictly inside the outer curve (clearance 0.000e+00)",
+        ),
+        (
+            Hole((-0.8, 0.0), 0.1200001),
+            "hole 0 is not strictly inside the outer curve (clearance -1.000e-07)",
+        ),
+        (Hole((-0.95, 0.0), 0.01), "hole 0 center lies outside the outer curve"),
+    ],
+)
+def test_near_tangent_holes_keep_their_errors(hole, message):
+    # r(pi) = 0.92 on this curve: the hole touches it, crosses it by 1e-7, or
+    # has its centre outside it
+    with pytest.raises(InvalidDomainError) as error:
+        DomainSpec(1.0, ((3, 0.08),), (hole,))
+    assert str(error.value) == message
+
+
 def test_rejects_overlapping_holes():
     with pytest.raises(InvalidDomainError):
         DomainSpec(
@@ -239,10 +276,15 @@ def _scan_seed(spec, pts):
 
 
 def _scan_distance(spec, pts):
-    """The distance oracle: the scan's seed projected by spec._project."""
+    """The distance oracle: the scan's seed projected by spec._project, capped
+    by the distance to the seed itself (a curve point), which the projection
+    can exceed next to a centre of curvature."""
     nearest = _scan_seed(spec, pts)
     theta = spec._project(pts, SEEDS[nearest])
-    return nearest, np.hypot(*(pts - spec.boundary_point(theta)).T)
+    seed = spec.boundary_point(SEEDS)[nearest]
+    return nearest, np.minimum(
+        np.hypot(*(pts - spec.boundary_point(theta)).T), np.hypot(*(pts - seed).T)
+    )
 
 
 def _assert_distance_is_scan(spec, pts):
@@ -358,6 +400,28 @@ def test_distance_to_outer_on_circles_is_closed_form(radius, hole):
     assert np.array_equal(got, np.abs(radius - np.hypot(pts[:, 0], pts[:, 1])))
     _, want = _scan_distance(spec, pts)
     assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * radius
+
+
+@pytest.mark.parametrize("modes", [((3, 0.08),), ((7, -0.0147), (18, 0.000218))])
+def test_distance_to_outer_never_exceeds_its_seed(modes):
+    # next to a centre of curvature the projection can end uphill of its seed
+    # (189 pinned points on the first curve, by up to 1.5e-8 on the second);
+    # the seed is a curve point, so its distance caps the result
+    spec = DomainSpec(1.0, modes)
+    pts = _pinned_points(spec)
+    near, seed = spec._seed_distance(pts)
+    assert np.array_equal(seed, np.hypot(*(pts - spec.boundary_point(SEEDS[near])).T))
+    projected = np.hypot(*(pts - spec.boundary_point(spec._project(pts, SEEDS[near]))).T)
+    assert np.any(projected > seed)
+    got = spec._distance_to_outer(pts)
+    assert np.all(got <= seed)
+    assert np.array_equal(got, np.minimum(projected, seed))
+
+
+def test_distance_to_outer_pinned_at_a_centre_of_curvature():
+    spec = DomainSpec(1.0, ((3, 0.08),))
+    got = spec._distance_to_outer(np.array([[0.43199904960016866, -1.0560000285233379e-09]]))
+    assert repr(float(got[0])) == "0.6480009503998314"  # the seed's; projected 0.6480009504004913
 
 
 def test_circle_distances_build_no_seed_table(monkeypatch):

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from torsionlab import _kernels, harness
+from torsionlab import _kernels, harness, stability
 from torsionlab.geometry import (
     BoundaryQuadrature,
     DomainSpec,
+    ExteriorPointError,
     Hole,
     build_quadratures,
     diameter,
+    distance_bounds,
+    distance_to_boundary,
     enclosing_inscribed_radii,
     interior_sphere_radius,
     random_interior_points,
@@ -47,6 +50,7 @@ from torsionlab.stability import (
     stability_report,
     validate_poincare_triple,
 )
+from test_geometry import _pinned_points, admissible_domains
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -201,6 +205,83 @@ def test_growth_property_run(rng):
     pts = random_interior_points(spec, 10_000, rng)
     rep = check_growth(model, spec, pts, r_i)
     assert rep.violations == 0
+
+
+def _samples_and_pinned_points(spec, seed):
+    pinned = _pinned_points(spec)
+    scattered = random_interior_points(spec, 2000, np.random.default_rng(seed))
+    return np.concatenate([scattered, pinned[spec.contains(pinned)]])
+
+
+def _growth_at_every_sample(model, spec, pts, r_i):
+    """The oracle of the growth-check filter: the slack from
+    distance_to_boundary at every sample, reported as _pointwise_report does."""
+    u = evaluate_u(model, pts)
+    delta = distance_to_boundary(spec, pts)
+    slack = np.minimum(-u - delta * delta / 4.0, -u - (r_i / 4.0) * delta)
+    bad = slack < -1e-9
+    i = int(np.argmin(slack))
+    witness = (tuple(pts[i]), float(slack[i])) if np.any(bad) else None
+    return (pts.shape[0], float(np.min(slack)), int(np.sum(bad)), witness)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=admissible_domains(),
+    field=hst.one_of(hst.just("solved"), hst.floats(0.3, 2.0)),
+    which=hst.sampled_from(["zero", "small", "domain", "large"]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_growth_check_equals_projection_at_every_sample(spec, field, which, seed):
+    # a radial field of another radius than the curve's is positive near it,
+    # so violations and a witness occur; r_i = 0 leaves only the delta^2 term
+    if field == "solved":
+        model, _ = solve_dirichlet(spec, 96, residual_tol=math.inf)
+    else:
+        model = radial_model(field)
+    r_i = {"zero": 0.0, "small": 1e-3, "large": 5.0}.get(which)
+    if r_i is None:
+        r_i = interior_sphere_radius(spec)
+    pts = _samples_and_pinned_points(spec, seed)
+    rep = check_growth(model, spec, pts, r_i)
+    got = (rep.n_samples, rep.min_slack, rep.violations, rep.witness)
+    assert got == _growth_at_every_sample(model, spec, pts, r_i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=admissible_domains(), seed=hst.integers(0, 2**32 - 1))
+def test_distance_bounds_bracket_the_distance(spec, seed):
+    pts = _samples_and_pinned_points(spec, seed)
+    lo, hi = distance_bounds(spec, pts)
+    delta = distance_to_boundary(spec, pts)
+    assert np.all(0.0 <= lo) and np.all(lo <= delta) and np.all(delta <= hi)
+    if not spec.fourier_modes:
+        assert np.array_equal(lo, delta) and np.array_equal(hi, delta)
+
+
+def test_growth_check_projects_few_samples(monkeypatch):
+    # the domain of configs/stability_dirichlet.cfg: the nearest-seed bracket
+    # decides all but about a dozen of 10,000 samples
+    spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
+    model, _ = solve_dirichlet(spec, 96)
+    pts = random_interior_points(spec, 10_000, np.random.default_rng(2))
+    projected = []
+
+    def counted(spec, pts):
+        projected.append(len(pts))
+        return distance_to_boundary(spec, pts)
+
+    monkeypatch.setattr(stability, "distance_to_boundary", counted)
+    rep = check_growth(model, spec, pts, interior_sphere_radius(spec))
+    assert rep.passed
+    assert 0 < sum(projected) < 100
+
+
+def test_growth_check_raises_on_exterior_points(annulus, annulus_model):
+    spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
+    for domain, point in ((annulus, (0.1, 0.0)), (spec, (1.1, 0.0)), (spec, (0.25, 0.0))):
+        with pytest.raises(ExteriorPointError, match="outside the region"):
+            check_growth(annulus_model, domain, np.array([[0.5, 0.0], point]), 0.1)
 
 
 def _hopf(model, gamma, r_i):
