@@ -341,7 +341,8 @@ def poincare_ratio_experiment(
 
     r_i and d_omega are the interior-sphere radius and the diameter the bound
     reads.  Every triple is validated before any work; each field is
-    evaluated once (u and grad together) and its arrays serve all triples.
+    evaluated once (u and grad together), and its numerator is reduced once
+    per distinct r and its denominator once per distinct (p, alpha).
     """
     triples = [tuple(t) for t in triples]
     cases = [validate_poincare_triple(r, p, alpha) for r, p, alpha in triples]
@@ -352,21 +353,25 @@ def poincare_ratio_experiment(
     w = quads.area.weights
     weighted = any(alpha for _, _, alpha in triples)
     delta = distance_to_boundary(spec, quads.area.nodes) if weighted else None
-    gims = [(delta**alpha) if alpha else np.ones_like(w) for _, _, alpha in triples]
+    # delta^alpha per distinct nonzero alpha; alpha = 0 reads g unscaled (1.0 * x == x)
+    gims = {alpha: delta**alpha for _, _, alpha in triples if alpha}
     ratios = [[] for _ in triples]
     for f in fields:
         v, g = f.fields(quads.area.nodes, "ug")
         v_mean = float(np.sum(v * w) / quads.area.total)
-        for (r, p, _), gim, out in zip(triples, gims, ratios):
-            num = float(np.sum(np.abs(v - v_mean) ** r * w) ** (1.0 / r))
-            den = float(
-                (
-                    np.sum(np.abs(gim * g[:, 0]) ** p * w)
-                    + np.sum(np.abs(gim * g[:, 1]) ** p * w)
-                )
-                ** (1.0 / p)
+        dev = np.abs(v - v_mean)
+        nums = {r: float(np.sum(dev**r * w) ** (1.0 / r)) for r in {r for r, _, _ in triples}}
+        dens = {}
+        for p, alpha in {(p, alpha) for _, p, alpha in triples}:
+            gx, gy = g[:, 0], g[:, 1]
+            if alpha:
+                gx, gy = gims[alpha] * gx, gims[alpha] * gy
+            dens[p, alpha] = float(
+                (np.sum(np.abs(gx) ** p * w) + np.sum(np.abs(gy) ** p * w)) ** (1.0 / p)
             )
-            out.append(0.0 if den == 0.0 else num / den)
+        for (r, p, alpha), out in zip(triples, ratios):
+            den = dens[p, alpha]
+            out.append(0.0 if den == 0.0 else nums[r] / den)
     return [
         PoincareReport(
             case=case,

@@ -415,6 +415,27 @@ def test_poincare_triples_equal_single_triple_calls(annulus, annulus_quads):
         assert rep.case == single.case and rep.normalized_bound == single.normalized_bound
 
 
+def test_poincare_ratios_equal_per_triple_reductions(annulus, annulus_quads):
+    # the reductions shared across triples leave every ratio bitwise what
+    # reducing each triple on its own gives, the unweighted one with weight 1.0
+    fields = random_harmonic_fields(annulus, 6, np.random.default_rng(11))
+    reports = poincare_ratio_experiment(
+        annulus, annulus_quads, POINCARE_TRIPLES, fields=fields, r_i=0.4, d_omega=2.0
+    )
+    w, nodes = annulus_quads.area.weights, annulus_quads.area.nodes
+    delta = distance_to_boundary(annulus, nodes)
+    for (r, p, alpha), rep in zip(POINCARE_TRIPLES, reports):
+        gim = delta**alpha if alpha else np.ones_like(w)
+        expected = []
+        for f in fields:
+            v, g = f.fields(nodes, "ug")
+            dev = np.abs(v - float(np.sum(v * w) / annulus_quads.area.total))
+            num = float(np.sum(dev**r * w) ** (1.0 / r))
+            sums = np.sum(np.abs(gim * g[:, 0]) ** p * w) + np.sum(np.abs(gim * g[:, 1]) ** p * w)
+            expected.append(num / float(sums ** (1.0 / p)))
+        assert rep.ratios == tuple(expected)
+
+
 def test_poincare_evaluates_each_field_once(annulus, annulus_quads, monkeypatch):
     kernel = _kernels.log_source_fields
     calls = []
