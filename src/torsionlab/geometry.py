@@ -42,7 +42,7 @@ class QuadratureError(RuntimeError):
 @lru_cache(maxsize=64)
 def _gauss_legendre(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return _read_only(x), _read_only(w)
 
 
 def _cosine_series(theta, a0, modes):
@@ -69,11 +69,13 @@ class Hole:
     dirichlet_value: float = 0.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidDomainError(f"hole radius must be positive, got {self.radius}")
-        if self.dirichlet_value > 0:
+        if not all(map(math.isfinite, self.center)):
+            raise InvalidDomainError(f"hole center must be finite, got {self.center}")
+        if not 0 < self.radius < math.inf:
+            raise InvalidDomainError(f"hole radius must be positive and finite, got {self.radius}")
+        if not -math.inf < self.dirichlet_value <= 0:
             raise InvalidDomainError(
-                "hole Dirichlet value must satisfy g <= 0, got "
+                "hole Dirichlet value must be finite and satisfy g <= 0, got "
                 f"{self.dirichlet_value} (the field must be nonpositive on hole boundaries)"
             )
 
@@ -96,9 +98,10 @@ class Hole:
 class DomainSpec:
     """The region between the outer curve and the closed holes.
 
-    Invariants checked at construction: sum |eps_k| k^2 < 1 (a C^2 graph over
-    the circle with r(theta) > 0), each hole strictly inside the outer curve,
-    and holes pairwise disjoint, both with positive clearance.
+    Invariants checked at construction: a finite R > 0, integer k >= 1, sum
+    |eps_k| k^2 < 1 (a C^2 graph over the circle with r(theta) > 0), each
+    hole strictly inside the outer curve by the exact test (membership and
+    distance), and holes pairwise disjoint, both with positive clearance.
     """
 
     outer_radius: float
@@ -106,30 +109,23 @@ class DomainSpec:
     holes: tuple[Hole, ...] = ()
 
     def __post_init__(self):
+        for k, _ in self.fourier_modes:
+            if not (1 <= k < math.inf and k == int(k)):
+                raise InvalidDomainError(f"fourier wavenumber must be an integer >= 1, got {k}")
         object.__setattr__(self, "fourier_modes", tuple(
             (int(k), float(e)) for k, e in self.fourier_modes
         ))
         object.__setattr__(self, "holes", tuple(self.holes))
-        if not self.outer_radius > 0:
-            raise InvalidDomainError("outer_radius must be positive")
-        for k, _ in self.fourier_modes:
-            if k < 1:
-                raise InvalidDomainError(f"fourier wavenumber must be >= 1, got {k}")
+        if not 0 < self.outer_radius < math.inf:
+            raise InvalidDomainError(
+                f"outer_radius must be positive and finite, got {self.outer_radius}"
+            )
         bend = sum(abs(e) * k * k for k, e in self.fourier_modes)
         if not bend < 1.0:
             raise InvalidDomainError(
                 f"sum |eps_k| k^2 = {bend:.6g} must be < 1 for a C^2 outer curve"
             )
-        # k >= 1 makes sum |eps_k| < 1 too, so r(theta) >= R (1 - sum |eps_k|) > 0
-        floor = self.outer_radius * (1.0 - sum(abs(e) for _, e in self.fourier_modes))
         for i, hole in enumerate(self.holes):
-            # every curve point has |x| >= floor, so floor - |c| - radius bounds
-            # the clearance below; beyond the rounding of a computed distance
-            # (_rounding) it passes the exact test below, which a hole it does
-            # not clear takes (and with it the seed table)
-            size = math.hypot(*hole.center)
-            if floor - size - hole.radius > self._rounding(size):
-                continue
             c = np.asarray(hole.center, dtype=float)
             if not self._inside_outer(c[None, :])[0]:
                 raise InvalidDomainError(f"hole {i} center lies outside the outer curve")
@@ -217,52 +213,31 @@ class DomainSpec:
     def _inside_outer(self, pts):
         """rho < r(theta) for the polar coordinates of each point.  Only
         points within the band m of the radius r_j at the seed nearest theta
-        (``_band``) evaluate the series; the rest are decided by r_j -+ m,
-        which bound the computed r(theta).  On a circle the series is a
-        constant, cheaper than the band, and every point compares with it."""
+        (both from ``_seeds``) evaluate the series; the rest are decided by
+        r_j -+ m, which bound the computed r(theta).  On a circle the series
+        is a constant, cheaper than the band, and every point compares with
+        it."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rho = np.hypot(pts[:, 0], pts[:, 1])
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         if not self.fourier_modes:
             return rho < self.radius(theta)
-        seed_r, band = self._band
-        n = seed_r.size
-        r = seed_r[np.rint(theta * (n / TWO_PI)).astype(np.intp) % n]
-        inside = rho < r - band
-        near = ~inside & (rho < r + band)
+        seeds = self._seeds
+        n = seeds.theta.size
+        r = seeds.r[np.rint(theta * (n / TWO_PI)).astype(np.intp) % n]
+        inside = rho < r - seeds.band
+        near = ~inside & (rho < r + seeds.band)
         inside[near] = rho[near] < self.radius(theta[near])
         return inside
-
-    @cached_property
-    def _band(self):
-        """(r_j, m): the outer radius at the 720 seed angles of ``_seeds``,
-        and the half-width m of ``_inside_outer``'s band about it.  With L =
-        R sum k |eps_k| a bound on |r'|, |r(theta) - r(theta_j)| <= L pi /
-        720 within half a seed step of theta_j, and 64 eps (n + 1)(1 + sum k
-        |eps_k|) R, for n modes, exceeds the rounding of both series (each
-        cos(k theta) within 2 pi k + 4 ulps, each of the n + 1 sums and
-        products within an ulp of R (1 + sum |eps_k|)), of the angle's
-        distance to its seed, and of r_j -+ m.  Kept apart from ``_seeds``
-        on purpose: the shape flow asks one-point membership questions of
-        fresh domains, and building the whole seed table for each cost 13 ms
-        a pass."""
-        theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
-        bend = sum(k * abs(e) for k, e in self.fourier_modes)
-        rounding = 64.0 * np.finfo(float).eps * (len(self.fourier_modes) + 1) * (1.0 + bend)
-        return self.radius(theta), self.outer_radius * (bend * math.pi / theta.size + rounding)
-
-    def _in_any_hole_closed(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(pts.shape[0], dtype=bool)
-        for hole in self.holes:
-            d = np.hypot(pts[:, 0] - hole.center[0], pts[:, 1] - hole.center[1])
-            out |= d <= hole.radius
-        return out
 
     def contains(self, pts):
         """Strict membership in the open region (outer interior minus closed holes)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._inside_outer(pts) & ~self._in_any_hole_closed(pts)
+        inside = self._inside_outer(pts)
+        for hole in self.holes:
+            d = np.hypot(pts[:, 0] - hole.center[0], pts[:, 1] - hole.center[1])
+            inside &= d > hole.radius
+        return inside
 
     @cached_property
     def _seeds(self):
@@ -277,7 +252,18 @@ class DomainSpec:
         centre off the origin.
         """
         theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
-        x, y = self.boundary_point(theta).T
+        r = self.radius(theta)
+        x, y = r * np.cos(theta), r * np.sin(theta)  # bitwise boundary_point
+        # the band half-width m of _inside_outer: with L = R sum k |eps_k| a
+        # bound on |r'|, |r(theta) - r(theta_j)| <= L pi / 720 within half a
+        # seed step of theta_j, and 64 eps (n + 1)(1 + sum k |eps_k|) R, for n
+        # modes, exceeds the rounding of both series (each cos(k theta) within
+        # 2 pi k + 4 ulps, each of the n + 1 sums and products within an ulp
+        # of R (1 + sum |eps_k|)), of the angle's distance to its seed, and of
+        # r_j -+ m
+        bend = sum(k * abs(e) for k, e in self.fourier_modes)
+        rounding = 64.0 * np.finfo(float).eps * (len(self.fourier_modes) + 1) * (1.0 + bend)
+        band = self.outer_radius * (bend * math.pi / theta.size + rounding)
         centre = (0.5 * float(np.min(x) + np.max(x)), 0.5 * float(np.min(y) + np.max(y)))
         frame = _polar_frame(x, y, 0.0, 0.0)
         moved = _polar_frame(x, y, *centre)
@@ -288,12 +274,14 @@ class DomainSpec:
             centre = (0.0, 0.0)
         angle, r_min, r_max = frame
         return _SeedTable(
-            theta=theta,
-            x=np.tile(x, 2),
-            y=np.tile(y, 2),
-            index=np.tile(np.arange(theta.size, dtype=np.int16), 2),
+            theta=_read_only(theta),
+            r=_read_only(r),
+            band=band,
+            x=_read_only(np.tile(x, 2)),
+            y=_read_only(np.tile(y, 2)),
+            index=_read_only(np.tile(np.arange(theta.size, dtype=np.int16), 2)),
             centre=centre,
-            angle=angle,
+            angle=_read_only(angle),
             r_min=r_min,
             r_max=r_max,
         )
@@ -452,6 +440,8 @@ class _SeedTable(NamedTuple):
     """What the outer-curve queries read at the 720 seeds of a DomainSpec."""
 
     theta: np.ndarray  # the seed angles
+    r: np.ndarray  # the outer radius at each seed
+    band: float  # the half-width m of _inside_outer's band about r
     x: np.ndarray  # curve points, tiled twice so any cyclic run of seeds is one slice
     y: np.ndarray
     index: np.ndarray  # seed indices, tiled twice
@@ -459,6 +449,12 @@ class _SeedTable(NamedTuple):
     angle: np.ndarray  # the seeds' unwrapped angles about c
     r_min: float  # least and greatest seed radius about c
     r_max: float
+
+
+def _read_only(array):
+    """array, made read-only: cached tables are shared by every caller."""
+    array.flags.writeable = False
+    return array
 
 
 def _polar_frame(x, y, cx, cy):

@@ -117,6 +117,8 @@ def radial_model(R: float, hole: Hole | None = None) -> FieldModel:
     u = g on the hole, realized exactly by a single source at the origin with
     coefficient 2 pi A.
     """
+    if not 0 < R < math.inf:
+        raise InvalidDomainError(f"outer radius must be positive and finite, got {R}")
     B = -R * R / 4.0
     if hole is None:
         return FieldModel(
@@ -264,7 +266,7 @@ def solve_dirichlet(
         n_collocation=A.shape[0],
         n_unknowns=A.shape[1],
     )
-    if diag.max_residual > residual_tol:
+    if not diag.max_residual <= residual_tol:  # a NaN residual fails too
         raise SolverConvergenceError("solver did not converge", diag)
     return model, diag
 
@@ -319,7 +321,7 @@ def solve_cauchy(
         n_collocation=A.shape[0],
         n_unknowns=A.shape[1],
     )
-    if diag.max_residual > residual_tol:
+    if not diag.max_residual <= residual_tol:
         raise SolverConvergenceError("continuation failed", diag)
     return model, diag
 

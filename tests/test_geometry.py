@@ -49,17 +49,10 @@ def test_rejects_hole_touching_outer_curve():
         DomainSpec(1.0, holes=(Hole((0.9, 0.0), 0.3, -0.1),))
 
 
-def test_hole_clearance_bound_builds_no_seed_table():
-    # the domain of configs/stability_dirichlet.cfg: R (1 - sum |eps_k|) - |c|
-    # - radius clears the hole, so construction evaluates no curve sample
-    spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
-    assert "_seeds" not in spec.__dict__
-    assert "_band" not in spec.__dict__
-
-
 def test_hole_clearance_falls_back_to_the_distance():
-    # the curve dips to 0.92 at theta = pi/3, so the bound cannot clear this
-    # hole (clearance 0.13 at its nearest point); the exact test accepts it
+    # the curve dips to 0.92 at theta = pi/3, so a bound about the origin
+    # could not clear this hole (clearance 0.13 at its nearest point); the
+    # exact test, which every hole takes, accepts it
     spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.8, 0.0), 0.15),))
     assert "_seeds" in spec.__dict__
 
@@ -83,6 +76,46 @@ def test_near_tangent_holes_keep_their_errors(hole, message):
     # has its centre outside it
     with pytest.raises(InvalidDomainError) as error:
         DomainSpec(1.0, ((3, 0.08),), (hole,))
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DomainSpec(math.inf), "outer_radius must be positive and finite, got inf"),
+        (lambda: DomainSpec(math.nan), "outer_radius must be positive and finite, got nan"),
+        (
+            lambda: DomainSpec(1.0, ((2.5, 0.1),)),
+            "fourier wavenumber must be an integer >= 1, got 2.5",
+        ),
+        (
+            lambda: DomainSpec(1.0, ((math.inf, 0.1),)),
+            "fourier wavenumber must be an integer >= 1, got inf",
+        ),
+        (lambda: Hole((math.nan, 0.0), 0.1), "hole center must be finite, got (nan, 0.0)"),
+        (lambda: Hole((0.0, -math.inf), 0.1), "hole center must be finite, got (0.0, -inf)"),
+        (lambda: Hole((0.0, 0.0), math.inf), "hole radius must be positive and finite, got inf"),
+        (
+            lambda: Hole((0.3, 0.0), 0.1, math.nan),
+            "hole Dirichlet value must be finite and satisfy g <= 0, got nan "
+            "(the field must be nonpositive on hole boundaries)",
+        ),
+        (
+            lambda: Hole((0.3, 0.0), 0.1, -math.inf),
+            "hole Dirichlet value must be finite and satisfy g <= 0, got -inf "
+            "(the field must be nonpositive on hole boundaries)",
+        ),
+    ],
+    ids=[
+        "outer-inf", "outer-nan", "wavenumber-2.5", "wavenumber-inf", "centre-nan",
+        "centre-inf", "radius-inf", "g-nan", "g-inf",
+    ],
+)
+def test_rejects_non_finite_and_non_integral_inputs(build, message):
+    # DomainSpec(1.0, ((2.5, 0.1),)) used to become mode 2, and the others
+    # were accepted as they stood
+    with pytest.raises(InvalidDomainError) as error:
+        build()
     assert str(error.value) == message
 
 
@@ -494,6 +527,69 @@ def test_inside_outer_equals_series_comparison(spec, seed):
 
 def test_inside_outer_equals_series_comparison_on_free_boundary_curve(free_boundary_spec):
     _assert_membership_is_series(free_boundary_spec, _membership_points(free_boundary_spec, 3))
+
+
+def test_a_curve_with_modes_caches_one_table():
+    # membership and distance read the same seed table: its radii are the
+    # membership band's
+    spec = DomainSpec(1.0, ((3, 0.08),), (Hole((0.25, 0.0), 0.12, -0.04),))
+    pts = random_interior_points(spec, 200, np.random.default_rng(0))
+    spec.contains(pts)
+    distance_to_boundary(spec, pts)
+    assert set(spec.__dict__) - {"outer_radius", "fourier_modes", "holes"} == {"_seeds"}
+    assert not hasattr(DomainSpec, "_band")
+    theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
+    assert np.array_equal(spec._seeds.r, spec.radius(theta))
+
+
+def test_shared_tables_are_read_only():
+    # every caller of a domain's seed table, and of a Gauss-Legendre order,
+    # gets the same arrays; writing the value already there leaves them as
+    # they were if the write is allowed
+    arrays = [v for v in DomainSpec(1.0, ((3, 0.08),))._seeds if isinstance(v, np.ndarray)]
+    assert len(arrays) == 6
+    for array in [*geometry._gauss_legendre(12), *arrays]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+def _dense_distance(spec, centre):
+    """The distance from centre to the nearest of 65,536 outer-curve points,
+    which can only overstate the exact distance."""
+    curve = spec.boundary_point(np.linspace(0.0, TWO_PI, 65536, endpoint=False))
+    return float(np.min(np.hypot(curve[:, 0] - centre[0], curve[:, 1] - centre[1])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=admissible_domains(),
+    phi=hst.floats(0.0, TWO_PI),
+    depth=hst.floats(0.0, 1.05),
+    scale=hst.one_of(hst.floats(0.5, 1.5), hst.floats(1.0 - 1e-4, 1.0 + 1e-4)),
+)
+def test_hole_clearance_is_the_dense_sampling_verdict(spec, phi, depth, scale):
+    # an extra hole, centred on the ray at phi from the origin to beyond the
+    # curve, with radius scale times its sampled distance to the curve (at
+    # least R / 20): construction accepts it exactly when dense sampling
+    # finds clearance above 1e-6 and rejects it when below -1e-6, a centre
+    # outside the curve counting as -inf.  Near tangency the sampled
+    # distance exceeds the exact one by under (pi 2.9 R / 65,536)^2 / (R /
+    # 10) < 2e-7 R, as the curve's speed is below 2.9 R
+    centre = tuple(float(v) for v in depth * spec.boundary_point(phi))
+    sampled = _dense_distance(spec, centre)
+    radius = max(scale * sampled, spec.outer_radius / 20.0)
+    inside = math.hypot(*centre) < spec.radius(math.atan2(centre[1], centre[0]))
+    clearance = sampled - radius if inside else -math.inf
+    assume(abs(clearance) > 1e-6)
+    holes = (Hole(centre, radius), *spec.holes)
+    if clearance < 0.0:
+        with pytest.raises(InvalidDomainError, match="^hole 0 "):
+            DomainSpec(spec.outer_radius, spec.fourier_modes, holes)
+    elif all(math.dist(h.center, centre) - h.radius - radius > 0.0 for h in spec.holes):
+        assert DomainSpec(spec.outer_radius, spec.fourier_modes, holes).holes == holes
+    else:
+        with pytest.raises(InvalidDomainError, match="^holes 0 and "):
+            DomainSpec(spec.outer_radius, spec.fourier_modes, holes)
 
 
 def test_distance_to_outer_temporaries_stay_small(free_boundary_spec):

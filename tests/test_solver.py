@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from torsionlab import solver
 from torsionlab.geometry import (
     DomainSpec,
     Hole,
@@ -61,6 +62,12 @@ def test_radial_model_rejects_hole(hole, match):
         radial_model(1.0, hole)
 
 
+@pytest.mark.parametrize("R", [math.inf, math.nan])
+def test_radial_model_rejects_non_finite_radius(R):
+    with pytest.raises(InvalidDomainError, match=f"radius must be positive and finite, got {R}"):
+        radial_model(R)
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet solve
 # ---------------------------------------------------------------------------
@@ -101,6 +108,22 @@ def test_positive_hole_datum_rejected():
 def test_parameter_preconditions(ball):
     with pytest.raises(InvalidDomainError):
         solve_dirichlet(ball, 16)
+
+
+def test_dirichlet_nan_residual_fails_the_tolerance(monkeypatch):
+    # NaN coefficients (a NaN hole datum gave them before Hole rejected it)
+    # make every residual NaN, and NaN > residual_tol is false
+    svd_solve = solver._svd_solve
+
+    def nan_solve(*args, **kwargs):
+        coef, *rest = svd_solve(*args, **kwargs)
+        return (np.full_like(coef, np.nan), *rest)
+
+    monkeypatch.setattr(solver, "_svd_solve", nan_solve)
+    spec = DomainSpec(1.0, ((3, 0.05),), (Hole((0.3, 0.0), 0.1, -0.01),))
+    with pytest.raises(SolverConvergenceError) as exc:
+        solve_dirichlet(spec)
+    assert math.isnan(exc.value.diagnostics.max_residual)
 
 
 def test_self_convergence_in_source_count():
@@ -211,6 +234,12 @@ def test_cauchy_rigidity_floor_on_perturbed_curve():
     with pytest.raises(SolverConvergenceError) as exc:
         solve_cauchy(spec, 0.5)
     assert exc.value.diagnostics.max_residual > 1e-4
+
+
+def test_cauchy_nan_residual_fails_the_tolerance(ball):
+    with pytest.raises(SolverConvergenceError) as exc:
+        solve_cauchy(ball, math.nan)
+    assert math.isnan(exc.value.diagnostics.max_residual)
 
 
 def test_cauchy_large_tikhonov_limit(ball):
