@@ -5,9 +5,12 @@ a harmonic expansion over logarithmic point sources placed outside the region
 (outer ring) and inside each hole (inner rings), plus one free additive
 constant.  The representation satisfies the PDE identically;
 discretization error lives only on the boundaries, where the expansion is fit
-by least squares.  Two fits are provided: a well-posed Dirichlet solve with
-data g <= 0 on hole boundaries, and an ill-posed Cauchy fit matching both
-u = 0 and u_nu = c on the outer curve (harmonic continuation inward).
+by least squares.  Three fits are provided: a well-posed Dirichlet solve with
+data g <= 0 on hole boundaries, an ill-posed Cauchy fit matching both
+u = 0 and u_nu = c on the outer curve (harmonic continuation inward), and
+the free-boundary builder of exactly overdetermined instances.  All three
+take their value rows from _value_rows and their diagnostics and residual
+check from _checked.
 """
 
 from __future__ import annotations
@@ -206,14 +209,32 @@ def _cauchy_misfits(model, gamma, c):
     return float(np.max(np.abs(u))), float(np.max(np.abs(u_nu - c)))
 
 
-def _boundary_residuals(model, spec, n_check, data_fn):
-    """Max |u - data| per component on fresh nodes (4x denser than collocation)."""
-    quads = build_boundary_quadrature(spec, n_check)
-    out = {}
-    for bq in quads.all():
-        u = evaluate_u(model, bq.nodes)
-        out[bq.component] = float(np.max(np.abs(u - data_fn(bq))))
-    return out
+def _value_rows(nodes, sources, n_constants):
+    """Collocation rows [G(node - source) | 1 ... 1] of a value condition at
+    nodes: one column per source, then n_constants columns of ones."""
+    n_src = sources.shape[0]
+    A = np.empty((nodes.shape[0], n_src + n_constants))
+    A[:, :n_src] = _kernel_block(nodes, sources)
+    A[:, n_src:] = 1.0
+    return A
+
+
+def _checked(message, tol, residuals, condition, tikhonov, truncated_modes, shape):
+    """The SolveDiagnostics of a fit whose collocation matrix had the given
+    shape; raises SolverConvergenceError(message) unless max_residual <= tol.
+    A NaN in any component makes max_residual NaN, which fails."""
+    diag = SolveDiagnostics(
+        residual_per_component=residuals,
+        max_residual=float(np.max(list(residuals.values()))),
+        condition=condition,
+        tikhonov=tikhonov,
+        truncated_modes=truncated_modes,
+        n_collocation=shape[0],
+        n_unknowns=shape[1],
+    )
+    if not diag.max_residual <= tol:
+        raise SolverConvergenceError(message, diag)
+    return diag
 
 
 def solve_dirichlet(
@@ -225,49 +246,29 @@ def solve_dirichlet(
     """Fit u = 0 on the outer curve and u = g on each hole boundary.
 
     Collocation at 2x oversampled boundary nodes; the model satisfies the PDE
-    identically, so the reported residuals are pure boundary misfit.
+    identically, so the reported residuals are pure boundary misfit, checked
+    on fresh nodes 4x denser than collocation.
     """
     if n_src_per_ring < 32:
         raise InvalidDomainError("n_src_per_ring must be >= 32")
     sources = _source_rings(spec, spec.holes, n_src_per_ring)
+    n_src = sources.shape[0]
     n_col = 2 * n_src_per_ring
     theta_col = np.linspace(0.0, TWO_PI, n_col, endpoint=False)
-    components = [(spec.boundary_point(theta_col), 0.0)]
-    for hole in spec.holes:
-        components.append((hole.boundary_points(theta_col), hole.dirichlet_value))
-    rows_A, rows_b = [], []
-    n_src = sources.shape[0]
-    n_rings = 1 + len(spec.holes)
-    for nodes, target in components:
-        A = np.empty((nodes.shape[0], n_src + n_rings))
-        A[:, :n_src] = _kernel_block(nodes, sources)
-        A[:, n_src:] = 1.0  # one additive constant per ring (shared null direction)
-        q = np.sum(nodes**2, axis=1) / 4.0
-        rows_A.append(A)
-        rows_b.append(target - q)
-    A = np.vstack(rows_A)
-    b = np.concatenate(rows_b)
+    data = [0.0] + [hole.dirichlet_value for hole in spec.holes]
+    curves = [spec.boundary_point(theta_col)] + [h.boundary_points(theta_col) for h in spec.holes]
+    # one additive constant per ring (shared null direction)
+    A = np.vstack([_value_rows(nodes, sources, len(data)) for nodes in curves])
+    b = np.concatenate([g - np.sum(nodes**2, axis=1) / 4.0 for nodes, g in zip(curves, data)])
     coef, cond, truncated, lam = _svd_solve(A, b, tikhonov=0.0, n_src=n_src)
     # the per-ring constants only ever act through their sum
     model = FieldModel(np.zeros(2), sources, coef[:n_src], sum(map(float, coef[n_src:])))
 
-    def data(bq):
-        if bq.component == "gamma":
-            return 0.0
-        return spec.holes[int(bq.component.split("_")[1])].dirichlet_value
-
-    residuals = _boundary_residuals(model, spec, 4 * max(64, n_col), data)
-    diag = SolveDiagnostics(
-        residual_per_component=residuals,
-        max_residual=max(residuals.values()),
-        condition=cond,
-        tikhonov=lam,
-        truncated_modes=truncated,
-        n_collocation=A.shape[0],
-        n_unknowns=A.shape[1],
-    )
-    if not diag.max_residual <= residual_tol:  # a NaN residual fails too
-        raise SolverConvergenceError("solver did not converge", diag)
+    residuals = {
+        bq.component: float(np.max(np.abs(evaluate_u(model, bq.nodes) - g)))
+        for bq, g in zip(build_boundary_quadrature(spec, 4 * max(64, n_col)).all(), data)
+    }
+    diag = _checked("solver did not converge", residual_tol, residuals, cond, lam, truncated, A.shape)
     return model, diag
 
 
@@ -288,41 +289,30 @@ def solve_cauchy(
     will be carved afterwards, letting the continued field carry singular
     content there; without them the best achievable joint residual on a
     non-circular curve is bounded below by that curve's rigidity deficit.
+
+    spec must have no holes and tikhonov, when given, must lie in [0, inf);
+    otherwise InvalidDomainError.  c is not checked: a NaN c gives NaN
+    residuals, which fail residual_tol.
     """
     if spec.holes:
         raise InvalidDomainError("Cauchy continuation starts from a hole-free domain")
-    if tikhonov is not None and tikhonov < 0:
-        raise InvalidDomainError("tikhonov weight must be >= 0")
+    if tikhonov is not None and not 0 <= tikhonov < math.inf:
+        raise InvalidDomainError(f"tikhonov weight must be finite and >= 0, got {tikhonov}")
     sources = _source_rings(spec, future_holes, 128)
     n_src = sources.shape[0]
     n_col = 256
-    quads = build_boundary_quadrature(spec, n_col)
-    bq = quads.gamma
-    A_u = np.empty((bq.n_nodes, n_src + 1))
-    A_u[:, :n_src] = _kernel_block(bq.nodes, sources)
-    A_u[:, n_src] = 1.0
-    b_u = -np.sum(bq.nodes**2, axis=1) / 4.0
+    bq = build_boundary_quadrature(spec, n_col).gamma
     A_n = np.zeros((bq.n_nodes, n_src + 1))
     A_n[:, :n_src] = _kernel_normal_block(bq.nodes, bq.normals, sources)
+    A = np.vstack([_value_rows(bq.nodes, sources, 1), A_n])
+    b_u = -np.sum(bq.nodes**2, axis=1) / 4.0
     b_n = c - 0.5 * np.sum(bq.nodes * bq.normals, axis=1)
-    A = np.vstack([A_u, A_n])
-    b = np.concatenate([b_u, b_n])
-    coef, cond, truncated, lam = _svd_solve(A, b, tikhonov=tikhonov, n_src=n_src)
+    coef, cond, truncated, lam = _svd_solve(A, np.concatenate([b_u, b_n]), tikhonov, n_src)
     model = FieldModel(np.zeros(2), sources, coef[:n_src], float(coef[n_src]))
 
     res_u, res_n = _cauchy_misfits(model, build_boundary_quadrature(spec, 4 * n_col).gamma, c)
     residuals = {"gamma": res_u, "gamma_normal": res_n}
-    diag = SolveDiagnostics(
-        residual_per_component=residuals,
-        max_residual=max(res_u, res_n),
-        condition=cond,
-        tikhonov=lam,
-        truncated_modes=truncated,
-        n_collocation=A.shape[0],
-        n_unknowns=A.shape[1],
-    )
-    if not diag.max_residual <= residual_tol:
-        raise SolverConvergenceError("continuation failed", diag)
+    diag = _checked("continuation failed", residual_tol, residuals, cond, lam, truncated, A.shape)
     return model, diag
 
 
@@ -369,9 +359,17 @@ def overdetermined_instance(
     fixed: 14 shape modes, 96 outer and 48 hole sources (at RING_OFFSET),
     384 collocation nodes, at most 60 trial steps to a Neumann misfit below
     5e-11, and a 1e-8 check of both conditions on the final domain.
+
+    Inputs are checked before the first solve: 0 <= eps < inf and
+    0 < c < inf (ValueError), and hole_center and hole_radius must make a
+    Hole (InvalidDomainError: a finite centre, 0 < radius < inf).
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
+    p = np.asarray(hole_center, dtype=float)
+    hole = Hole((float(p[0]), float(p[1])), hole_radius, 0.0)
     n_modes, n_out, n_in, n_collocation, tol = 14, 96, 48, 384, 5e-11
     phi = np.linspace(0.0, TWO_PI, n_in, endpoint=False)
     rin = hole_radius / RING_OFFSET
@@ -379,32 +377,28 @@ def overdetermined_instance(
     q_fixed = (0.05 + (2.0 * eps) * np.cos(3 * phi)) / n_in
     dipole_pattern = np.cos(phi) / n_in
 
-    state = {"R": 2.0 * c, "mu": 0.0, "b": np.zeros(n_modes + 1)}
-    t = eps
+    # the trial curve r = R + eps cos(theta) + sum_k b_k cos(k theta), k = 2..14,
+    # and the dipole strength mu; the trial steps update R, b and mu
+    R, mu, b = 2.0 * c, 0.0, np.zeros(n_modes + 1)
     th = np.linspace(0.0, TWO_PI, n_collocation, endpoint=False)
+    tho = np.linspace(0.0, TWO_PI, n_out, endpoint=False)
 
-    def shape(theta):
-        modes = [(1, t)] + [(k, state["b"][k]) for k in range(2, n_modes + 1)]
-        r, rp, _ = _cosine_series(theta, state["R"], modes)
-        return r, rp
-
-    def geo(theta):
-        r, rp = shape(theta)
-        x = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-        tx = rp * np.cos(theta) - r * np.sin(theta)
-        ty = rp * np.sin(theta) + r * np.cos(theta)
-        sp = np.hypot(tx, ty)
-        return x, np.stack([ty / sp, -tx / sp], axis=-1)
+    def curve(theta):
+        """(r, cos, sin, tangent x, tangent y) of the trial curve at theta."""
+        modes = [(1, eps)] + [(k, b[k]) for k in range(2, n_modes + 1)]
+        r, rp, _ = _cosine_series(theta, R, modes)
+        cos, sin = np.cos(theta), np.sin(theta)
+        return r, cos, sin, rp * cos - r * sin, rp * sin + r * cos
 
     def dirichlet_pass(mu):
-        x, nrm = geo(th)
-        tho = np.linspace(0.0, TWO_PI, n_out, endpoint=False)
-        ro, _ = shape(tho)
-        out_src = RING_OFFSET * np.stack([ro * np.cos(tho), ro * np.sin(tho)], axis=-1)
+        r, cos, sin, tx, ty = curve(th)
+        x = np.stack([r * cos, r * sin], axis=-1)
+        sp = np.hypot(tx, ty)
+        nrm = np.stack([ty / sp, -tx / sp], axis=-1)
+        ro, cos_o, sin_o, _, _ = curve(tho)
+        out_src = RING_OFFSET * np.stack([ro * cos_o, ro * sin_o], axis=-1)
         q_in = q_fixed + mu * dipole_pattern
-        A_u = np.empty((n_collocation, n_out + 1))
-        A_u[:, :n_out] = _kernel_block(x, out_src)
-        A_u[:, n_out] = 1.0
+        A_u = _value_rows(x, out_src, 1)
         b_u = -(np.sum(x * x, axis=1) / 4.0 + _kernel_block(x, inner) @ q_in)
         coef, *_ = np.linalg.lstsq(A_u, b_u, rcond=RCOND)
         e_u = float(np.max(np.abs(A_u @ coef - b_u)))
@@ -415,20 +409,6 @@ def overdetermined_instance(
         )
         return un - c, e_u, coef, out_src, q_in
 
-    def failure(message, res_u, res_n):
-        return SolverConvergenceError(
-            message,
-            SolveDiagnostics(
-                residual_per_component={"gamma": res_u, "gamma_normal": res_n},
-                max_residual=max(res_u, res_n),
-                condition=math.nan,
-                tikhonov=0.0,
-                truncated_modes=0,
-                n_collocation=n_collocation,
-                n_unknowns=n_out + 1,
-            ),
-        )
-
     # one-time numeric probe of the k=1 Neumann response to the dipole strength
     # the mu = 0 pass runs on the starting state, so it is also trial step 0
     first = dirichlet_pass(0.0)
@@ -438,40 +418,39 @@ def overdetermined_instance(
 
     e_u = e_n = math.inf
     for it in range(60):
-        en, e_u, coef, out_src, q_in = dirichlet_pass(state["mu"]) if it else first
+        en, e_u, coef, out_src, q_in = dirichlet_pass(mu) if it else first
         e_n = float(np.max(np.abs(en)))
         if e_n < tol:
             break
         fc = np.fft.rfft(en) / n_collocation
-        state["R"] -= fc[0].real / 0.5
-        state["mu"] -= 2.0 * fc[1].real / d_mode1_d_mu
+        R -= fc[0].real / 0.5
+        mu -= 2.0 * fc[1].real / d_mode1_d_mu
         for k in range(2, n_modes + 1):
-            state["b"][k] -= 2.0 * fc[k].real / (0.5 * (1.0 - k))
-    if not e_n < 100 * tol:
-        raise failure("free-boundary iteration did not converge", e_u, e_n)
+            b[k] -= 2.0 * fc[k].real / (0.5 * (1.0 - k))
+    # the builder's diagnostics: lstsq reports no condition and damps nothing
+    fit = (math.nan, 0.0, 0, (n_collocation, n_out + 1))
+    residuals = {"gamma": e_u, "gamma_normal": e_n}
+    _checked("free-boundary iteration did not converge", 100 * tol, residuals, *fit)
 
     # re-expand the shape about the world origin with the hole at hole_center
-    p = np.asarray(hole_center, dtype=float)
     n_fft = 4096
     target = np.linspace(0.0, TWO_PI, n_fft, endpoint=False)
-    theta_w = target.copy()  # work-coordinate parameter, refined per target angle
+    theta_w = target  # work-coordinate parameter, refined per target angle
     for _ in range(60):
-        r_w, rp_w = shape(theta_w)
-        wx = r_w * np.cos(theta_w) + p[0]
-        wy = r_w * np.sin(theta_w) + p[1]
+        r_w, cos_w, sin_w, tx, ty = curve(theta_w)
+        wx = r_w * cos_w + p[0]
+        wy = r_w * sin_w + p[1]
         ang = np.unwrap(np.arctan2(wy, wx))
         ang += TWO_PI * np.round((target - ang) / TWO_PI)
         mis = ang - target
         # d(ang)/d(theta_w) via the curve tangent
-        tx = rp_w * np.cos(theta_w) - r_w * np.sin(theta_w)
-        ty = rp_w * np.sin(theta_w) + r_w * np.cos(theta_w)
         rho2 = wx * wx + wy * wy
         dang = (wx * ty - wy * tx) / rho2
         theta_w = theta_w - mis / dang
         if np.max(np.abs(mis)) < 1e-14:
             break
-    r_world = np.hypot(*((shape(theta_w)[0])[None, :] * np.stack([np.cos(theta_w), np.sin(theta_w)]) + p[:, None]))
-    fc = np.fft.rfft(r_world) / n_fft
+    r_w, cos_w, sin_w, _, _ = curve(theta_w)
+    fc = np.fft.rfft(np.hypot(r_w * cos_w + p[0], r_w * sin_w + p[1])) / n_fft
     R0 = fc[0].real
     modes = []
     for k in range(1, n_fft // 2):
@@ -480,7 +459,6 @@ def overdetermined_instance(
             break
         if abs(a_k) >= 1e-14:
             modes.append((k, a_k))
-    hole = Hole((float(p[0]), float(p[1])), hole_radius, 0.0)
     spec = DomainSpec(outer_radius=R0, fourier_modes=tuple(modes), holes=(hole,))
     model = FieldModel(
         anchor=p.copy(),
@@ -490,11 +468,11 @@ def overdetermined_instance(
     )
     check = build_boundary_quadrature(spec, 1024)
     res_u, res_n = _cauchy_misfits(model, check.gamma, c)
-    u_hole = evaluate_u(model, check.holes[0].nodes)
-    if max(res_u, res_n) > 1e-8 or np.max(u_hole) > 0:
-        raise failure(
-            "overdetermined instance failed verification on the final domain", res_u, res_n
-        )
+    # u <= 0 on the hole belongs to the verdict: u > 0 there fails any tolerance
+    hole_ok = np.max(evaluate_u(model, check.holes[0].nodes)) <= 0
+    residuals = {"gamma": res_u, "gamma_normal": res_n}
+    message = "overdetermined instance failed verification on the final domain"
+    _checked(message, 1e-8 if hole_ok else -math.inf, residuals, *fit)
     return OverdeterminedInstance(
         spec=spec,
         model=model,
@@ -503,5 +481,5 @@ def overdetermined_instance(
         dirichlet_misfit=res_u,
         neumann_misfit=res_n,
         iterations=it + 1,
-        dipole_strength=float(state["mu"]),
+        dipole_strength=float(mu),
     )

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from torsionlab.geometry import (
     distance_to_boundary,
     random_interior_points,
 )
+from torsionlab.harness import main
 from torsionlab.solver import (
     FieldModel,
     SolverConvergenceError,
@@ -23,6 +25,8 @@ from torsionlab.solver import (
     solve_cauchy,
     solve_dirichlet,
 )
+
+from test_harness import OVERDETERMINED_RUN
 
 TWO_PI = 2.0 * math.pi
 
@@ -242,6 +246,22 @@ def test_cauchy_nan_residual_fails_the_tolerance(ball):
     assert math.isnan(exc.value.diagnostics.max_residual)
 
 
+@pytest.mark.parametrize("tikhonov", [math.nan, math.inf, -1.0])
+def test_cauchy_rejects_a_tikhonov_weight_outside_zero_to_inf(ball, tikhonov):
+    # nan > 0 is false, so a NaN weight used to run undamped; inf ended in LAPACK
+    with pytest.raises(InvalidDomainError, match=f"must be finite and >= 0, got {tikhonov}"):
+        solve_cauchy(ball, 0.5, tikhonov=tikhonov)
+
+
+def test_a_nan_in_one_residual_component_fails_the_tolerance(ball, monkeypatch):
+    # max(0.0, nan) is 0.0 in Python, as NaN compares false: the diagnostics
+    # take a NaN-propagating max, so one NaN component fails the check
+    monkeypatch.setattr(solver, "_cauchy_misfits", lambda *args: (0.0, math.nan))
+    with pytest.raises(SolverConvergenceError) as exc:
+        solve_cauchy(ball, 0.5)
+    assert math.isnan(exc.value.diagnostics.max_residual)
+
+
 def test_cauchy_large_tikhonov_limit(ball):
     # lam -> infinity kills the source coefficients; the boundary misfit
     # approaches the best constant-only fit, computed independently
@@ -326,3 +346,88 @@ def test_overdetermined_instance_deviation_scales_with_eps():
         rho_e, rho_i = enclosing_inscribed_radii(inst.spec, inst.spec.holes[0].center)
         gaps.append(rho_e - rho_i)
     assert gaps[1] > 2.0 * gaps[0]
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        ({"eps": math.nan}, ValueError, "eps must be finite and >= 0, got nan"),
+        ({"eps": math.inf}, ValueError, "eps must be finite and >= 0, got inf"),
+        ({"eps": -0.01}, ValueError, "eps must be finite and >= 0, got -0.01"),
+        ({"c": math.nan}, ValueError, "c must be positive and finite, got nan"),
+        ({"c": math.inf}, ValueError, "c must be positive and finite, got inf"),
+        ({"c": 0.0}, ValueError, "c must be positive and finite, got 0.0"),
+        ({"c": -0.5}, ValueError, "c must be positive and finite, got -0.5"),
+        ({"hole_radius": math.nan}, InvalidDomainError, "hole radius must be positive and finite, got nan"),
+        ({"hole_radius": 0.0}, InvalidDomainError, "hole radius must be positive and finite, got 0.0"),
+        ({"hole_center": (math.nan, 0.0)}, InvalidDomainError, "hole center must be finite, got (nan, 0.0)"),
+    ],
+    ids=["eps-nan", "eps-inf", "eps-negative", "c-nan", "c-inf", "c-zero", "c-negative",
+         "radius-nan", "radius-zero", "center-nan"],
+)
+def test_overdetermined_instance_checks_inputs_before_the_first_solve(
+    kwargs, error, message, monkeypatch, capfd
+):
+    # these used to fail in LAPACK (printing to stderr), run all 60 trial
+    # steps into a non-convergence report, or pass the iteration first
+    def no_solve(*args, **kw):
+        raise AssertionError("a solve ran before the inputs were checked")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_solve)
+    with pytest.raises(error, match=re.escape(message)):
+        overdetermined_instance(**{"eps": 0.01, **kwargs})
+    assert capfd.readouterr().err == ""
+
+
+def _noisy_normal_rows(monkeypatch):
+    # seeded noise on every normal-derivative row keeps each trial step's
+    # Neumann misfit far above the tolerance
+    rng = np.random.default_rng(0)
+    block = solver._kernel_normal_block
+
+    def noisy(*args):
+        rows = block(*args)
+        return rows + 1e-3 * rng.standard_normal(rows.shape)
+
+    monkeypatch.setattr(solver, "_kernel_normal_block", noisy)
+
+
+def _neumann_offset_on_the_final_domain(monkeypatch):
+    misfits = solver._cauchy_misfits
+    monkeypatch.setattr(solver, "_cauchy_misfits", lambda *a: (misfits(*a)[0], 1e-6))
+
+
+def _positive_on_the_hole(monkeypatch):
+    # the final check also requires u <= 0 on the hole; only the hole's
+    # nodes go through evaluate_u in the builder
+    evaluate_u = solver.evaluate_u
+    monkeypatch.setattr(solver, "evaluate_u", lambda *a: -evaluate_u(*a))
+
+
+@pytest.mark.parametrize(
+    "provoke, message",
+    [
+        (_noisy_normal_rows, "free-boundary iteration did not converge"),
+        (_neumann_offset_on_the_final_domain, "failed verification on the final domain"),
+        (_positive_on_the_hole, "failed verification on the final domain"),
+    ],
+    ids=["no-convergence", "neumann-misfit", "positive-on-hole"],
+)
+def test_overdetermined_instance_failures_carry_the_builder_diagnostics(
+    provoke, message, monkeypatch, tmp_path, capsys
+):
+    provoke(monkeypatch)
+    with pytest.raises(SolverConvergenceError, match=message) as exc:
+        overdetermined_instance(0.01)
+    diag = exc.value.diagnostics
+    assert set(diag.residual_per_component) == {"gamma", "gamma_normal"}
+    assert (diag.n_collocation, diag.n_unknowns) == (384, 97)
+    assert math.isnan(diag.condition)
+    assert (diag.tikhonov, diag.truncated_modes) == (0.0, 0)
+    # the CLI reports the same failure as a numeric failure
+    cfg = tmp_path / "overdetermined.cfg"
+    cfg.write_text(OVERDETERMINED_RUN)
+    capsys.readouterr()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and message in err
