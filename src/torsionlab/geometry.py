@@ -18,9 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._kernels import BLOCK_PAIRS
-
-TWO_PI = 2.0 * math.pi
+from ._kernels import BLOCK_PAIRS, TWO_PI
 
 
 class InvalidDomainError(ValueError):

@@ -217,53 +217,72 @@ class ScenarioConfig:
     raw: dict = dc_field(default_factory=dict, compare=False)
 
 
-# every key a config may set, as (ScenarioConfig field, rule); anything else
-# is a typo, and a key left out takes the field's default
-_KEYS = {
-    "experiment": ("experiment", _one_of(*EXPERIMENTS)),
-    "seed": ("seed", _number(int, ">= 0")),
-    "out_dir": ("out_dir", _text),
-    "threads": ("threads", _number(int, ">= 1")),
-    "domain.outer_radius": ("outer_radius", _number(float, "> 0")),
-    "domain.modes": ("modes", _rows("[wavenumber, amplitude] pairs", int, float)),
-    "domain.holes": ("holes", _rows("[cx, cy, radius, g]", float, float, float, float)),
-    "field.kind": ("field_kind", _one_of(*FIELD_KINDS)),
-    "quadrature.n_theta": ("n_theta", _number(int, ">= 64", even=True)),
-    "quadrature.n_r": ("n_r", _number(int, ">= 4")),
-    "tolerances.identity_rel": ("identity_rel_tol", _number(float, "> 0")),
-    "tolerances.overdet": ("overdet_tol", _number(float, "> 0")),
-    "tolerances.growth_samples": ("growth_samples", _number(int, ">= 1")),
-    "sweep.axis": ("sweep_axis", _one_of(None, *SWEEP_AXES)),
-    "sweep.values": ("sweep_values", _ascending),
-    "stability.regime": ("regime", _one_of(*REGIMES)),
-    "cauchy.c": ("cauchy_c", _number(float, "> 0")),
-    "cauchy.k": ("cauchy_k", _number(int, ">= 1")),
-    "cauchy.eps": ("cauchy_eps", _number(float, ">= 0")),
-    "poincare.triples": ("poincare_triples", _rows("[r, p, alpha] triples", float, float, float)),
-    "poincare.n_fields": ("poincare_n_fields", _number(int, ">= 1")),
-}
-
-
 _STABILITY = ("stability", "cauchy-stability")
 
-# the experiments that read each key, by key or key prefix; a key that no
-# entry matches is read by every experiment
-_READ_BY = {
-    "domain.holes": ("identities", *_STABILITY, "poincare"),
-    "quadrature.": ("identities", *_STABILITY, "poincare"),
-    "field.": ("identities", *_STABILITY),
-    "cauchy.": ("identities", *_STABILITY),
-    "tolerances.overdet": ("identities", *_STABILITY),
-    "tolerances.identity_rel": ("identities",),
-    "tolerances.growth_samples": _STABILITY,
-    "sweep.": _STABILITY,
-    "stability.": _STABILITY,
-    "poincare.": ("poincare",),
+
+def _kind(cfg):
+    """The field kind a run reads: None outside identities and the stability runs."""
+    return cfg.field_kind if cfg.experiment in ("identities", *_STABILITY) else None
+
+
+def _axis(cfg):
+    """The sweep axis a run reads: None outside the stability runs."""
+    return cfg.sweep_axis if cfg.experiment in _STABILITY else None
+
+
+def _by(text, *experiments):
+    return text, lambda cfg: cfg.experiment in experiments
+
+
+# the runs that read a key, as (text, predicate on the config)
+_ALL = _by("all", *EXPERIMENTS)
+_NOT_SHAPEFLOW = _by("all but shapeflow", "identities", *_STABILITY, "poincare")
+_STABILITY_RUNS = _by("stability runs", *_STABILITY)
+_POINCARE = _by("poincare", "poincare")
+
+# every key a config may set, as (ScenarioConfig field, rule, runs that read
+# it); anything else is a typo, a key left out takes the field's default, and
+# a key the run does not read is an error
+_KEYS = {
+    "experiment": ("experiment", _one_of(*EXPERIMENTS), _ALL),
+    "seed": ("seed", _number(int, ">= 0"), _ALL),
+    "out_dir": ("out_dir", _text, _ALL),
+    "threads": ("threads", _number(int, ">= 1"), _ALL),
+    "domain.outer_radius": ("outer_radius", _number(float, "> 0"), (
+        "all but overdetermined fields", lambda c: _kind(c) != "overdetermined")),
+    "domain.modes": ("modes", _rows("[wavenumber, amplitude] pairs", int, float), (
+        "all but radial and overdetermined fields and cauchy-literal eps sweeps",
+        lambda c: _kind(c) not in ("radial", "overdetermined")
+        and (_kind(c), _axis(c)) != ("cauchy-literal", "eps"))),
+    "domain.holes": ("holes", _rows("[cx, cy, radius, g]", float, float, float, float), (
+        "all but shapeflow and hole_radius sweeps",
+        lambda c: c.experiment != "shapeflow" and _axis(c) != "hole_radius")),
+    "field.kind": ("field_kind", _one_of(*FIELD_KINDS),
+                   _by("identities and stability runs", "identities", *_STABILITY)),
+    "quadrature.n_theta": ("n_theta", _number(int, ">= 64", even=True), _NOT_SHAPEFLOW),
+    "quadrature.n_r": ("n_r", _number(int, ">= 4"), _NOT_SHAPEFLOW),
+    "tolerances.identity_rel": ("identity_rel_tol", _number(float, "> 0"),
+                                _by("identities", "identities")),
+    "tolerances.overdet": ("overdet_tol", _number(float, "> 0"), (
+        "radial, overdetermined and cauchy-literal fields",
+        lambda c: _kind(c) not in (None, "dirichlet"))),
+    "tolerances.growth_samples": ("growth_samples", _number(int, ">= 1"), _STABILITY_RUNS),
+    "sweep.axis": ("sweep_axis", _one_of(None, *SWEEP_AXES), _STABILITY_RUNS),
+    "sweep.values": ("sweep_values", _ascending, _STABILITY_RUNS),
+    "stability.regime": ("regime", _one_of(*REGIMES), _STABILITY_RUNS),
+    "cauchy.c": ("cauchy_c", _number(float, "> 0"), (
+        "overdetermined and cauchy-literal fields",
+        lambda c: _kind(c) in ("overdetermined", "cauchy-literal"))),
+    "cauchy.k": ("cauchy_k", _number(int, ">= 1"), (
+        "cauchy-literal eps sweeps",
+        lambda c: (_kind(c), _axis(c)) == ("cauchy-literal", "eps"))),
+    "cauchy.eps": ("cauchy_eps", _number(float, ">= 0"), (
+        "overdetermined fields without a sweep",
+        lambda c: (_kind(c), _axis(c)) == ("overdetermined", None))),
+    "poincare.triples": (
+        "poincare_triples", _rows("[r, p, alpha] triples", float, float, float), _POINCARE),
+    "poincare.n_fields": ("poincare_n_fields", _number(int, ">= 1"), _POINCARE),
 }
-
-
-def _readers(path):
-    return next((r for key, r in _READ_BY.items() if path.startswith(key)), EXPERIMENTS)
 
 
 def validate_config(tree: dict) -> ScenarioConfig:
@@ -280,29 +299,24 @@ def validate_config(tree: dict) -> ScenarioConfig:
 
 
 def _check_combinations(cfg: ScenarioConfig, given: dict):
-    """The rules that tie keys together.  Each key must be read by the
-    experiment, and each cauchy key by the field kind; a sweep declares its
-    axis and values, and the axis fixes the field kind and the holes (there
-    is no default hole); each field kind and experiment then restricts the
-    domain."""
+    """The rules that tie keys together.  Each given key must be read by the
+    run, as its _KEYS entry says; a sweep declares its axis and values, and
+    the axis fixes the field kind (there is no default hole); each field kind
+    then restricts the holes, and poincare its triples."""
     for path in given:
-        if cfg.experiment not in _readers(path):
-            readers = ", ".join(_readers(path))
-            raise ConfigError(path, f"not read by experiment {cfg.experiment!r}, only by {readers}")
+        read_by, reads = _KEYS[path][2]
+        if not reads(cfg):
+            run = {"experiment": cfg.experiment, "field.kind": _kind(cfg), "sweep.axis": _axis(cfg)}
+            run = " ".join(f"{key}={value!r}" for key, value in run.items() if value is not None)
+            raise ConfigError(path, f"not read by {run}; read by: {read_by}")
     axis, holes = cfg.sweep_axis, cfg.holes
     if cfg.experiment == "cauchy-stability" and axis is None:
         raise ConfigError("sweep.axis", "sweep requires a declared axis")
     if axis is not None and not cfg.sweep_values:
         raise ConfigError("sweep.values", "sweep requires a nonempty, sorted value list")
-    if axis == "hole_radius":
-        if holes:
-            raise ConfigError(
-                "domain.holes",
-                "hole_radius sweeps build their own centered hole; leave domain.holes unset",
-            )
-        if cfg.field_kind != "radial":
-            raise ConfigError("field.kind", "hole_radius sweeps use field.kind=radial")
-    elif axis == "eps":
+    if axis == "hole_radius" and cfg.field_kind != "radial":
+        raise ConfigError("field.kind", "hole_radius sweeps use field.kind=radial")
+    if axis == "eps":
         if cfg.field_kind not in ("overdetermined", "cauchy-literal"):
             raise ConfigError(
                 "field.kind",
@@ -311,45 +325,15 @@ def _check_combinations(cfg: ScenarioConfig, given: dict):
         eps_rule = _KEYS["cauchy.eps"][1]
         for i, v in enumerate(cfg.sweep_values):
             eps_rule(f"sweep.values[{i}]", v)
-        if cfg.field_kind == "cauchy-literal" and "domain.modes" in given:
-            raise ConfigError(
-                "domain.modes",
-                "cauchy-literal eps sweeps set the modes to [[cauchy.k, eps]] at each point; "
-                "leave domain.modes unset",
-            )
-    # the cauchy keys are read by some field kinds only: c by the two that
-    # impose u_nu = c, k by the modes of a cauchy-literal eps sweep, and eps
-    # by an overdetermined instance unless a sweep sets it per point
-    kind = cfg.field_kind
-    for path, readers, read in (
-        ("cauchy.c", "overdetermined and cauchy-literal fields",
-         kind in ("overdetermined", "cauchy-literal")),
-        ("cauchy.k", "cauchy-literal eps sweeps", kind == "cauchy-literal" and axis == "eps"),
-        ("cauchy.eps", "overdetermined fields without a sweep",
-         kind == "overdetermined" and axis is None),
-    ):
-        if path in given and not read:
-            sweep = f" with sweep.axis={axis!r}" if axis else ""
-            raise ConfigError(path, f"not read by field.kind={kind!r}{sweep}, only by {readers}")
     if cfg.field_kind == "radial":
-        if cfg.modes:
-            raise ConfigError(
-                "domain.modes", "radial fields are exact on a circle; leave domain.modes unset"
-            )
         if len(holes) > 1:
             raise ConfigError("domain.holes", "radial fields support at most one hole")
         if holes and holes[0][:2] != (0.0, 0.0):
             raise ConfigError("domain.holes", "radial fields need holes centered at the origin")
-    if cfg.field_kind == "overdetermined":
-        for path in ("domain.modes", "domain.outer_radius"):
-            if path in given:
-                raise ConfigError(
-                    path, f"overdetermined instances build their own outer curve; leave {path} unset"
-                )
-        if len(holes) != 1 or holes[0][3] != 0:
-            raise ConfigError(
-                "domain.holes", f"overdetermined instances use exactly one hole, g = 0, got {holes}"
-            )
+    if cfg.field_kind == "overdetermined" and (len(holes) != 1 or holes[0][3] != 0):
+        raise ConfigError(
+            "domain.holes", f"overdetermined instances use exactly one hole, g = 0, got {holes}"
+        )
     if cfg.experiment == "poincare":
         for i, (r, p, alpha) in enumerate(cfg.poincare_triples):
             try:
@@ -364,7 +348,7 @@ def _check_combinations(cfg: ScenarioConfig, given: dict):
         built = tuple(Hole((cx, cy), r, g) for cx, cy, r, g in holes)
     except InvalidDomainError as err:
         raise ConfigError("domain.holes", str(err)) from None
-    if kind == "overdetermined":
+    if cfg.field_kind == "overdetermined":
         return
     if axis is not None:
         for i, (*_, point) in enumerate(_point_configs(cfg)):
@@ -871,7 +855,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
         cfg.out_dir = args.out
     for key in ("seed", "threads"):
         if getattr(args, key) is not None:
-            name, rule = _KEYS[key]
+            name, rule, _ = _KEYS[key]
             setattr(cfg, name, rule(f"--{key}", getattr(args, key)))
     return cfg
 
@@ -900,9 +884,8 @@ def main(argv=None) -> int:
         if args.command == "validate":
             print(f"config ok: experiment={cfg.experiment} seed={cfg.seed}")
             return 0
-        if args.command == "sweep":
-            if not cfg.sweep_axis or not cfg.sweep_values:
-                raise ConfigError("sweep", "sweep requires sweep.axis and nonempty sweep.values")
+        if args.command == "sweep" and cfg.sweep_axis is None:
+            raise ConfigError("sweep.axis", "the sweep command needs sweep.axis and sweep.values")
         report, assertions = execute(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -32,9 +32,9 @@ from .geometry import (
     symmetric_difference_ratio,
     tubular_sets,
 )
+from .identities import N_DIM
 from .solver import FieldModel, evaluate, evaluate_u, normal_derivative
 
-N_DIM = 2
 UNIT_BALL_AREA = math.pi  # |B_1| in the plane
 # stability_report regimes; "tubular" takes the center from the boundary layer
 REGIMES = ("sphere-condition", "john-relaxed", "tubular")
@@ -587,7 +587,6 @@ def stability_report(
     regime: str = "sphere-condition",
     tol_overdet: float = 1e-6,
     waive_overdetermination: bool = False,
-    z_override=None,
 ) -> StabilityReport:
     """All stability functionals and hypothesis checks on one instance.
 
@@ -622,10 +621,6 @@ def stability_report(
             spec, quads.area, [(bq_h, u) for bq_h, u, _, _ in holes], spec.region_area
         )
         z_formula = "flux-adjusted-barycenter"
-    if z_override is not None:
-        z = np.asarray(z_override, dtype=float)
-        z_inside = bool(spec._inside_outer(z[None, :])[0])
-        z_formula = "override"
 
     hypotheses = {
         "u_nonpositive_on_holes": all(np.max(u) <= 1e-9 for _, u, _, _ in holes),

@@ -227,15 +227,15 @@ def test_bad_value_type_exits_two(tmp_path, capsys, line, path):
 @pytest.mark.parametrize("experiment", ["identities", "stability", "shapeflow", "poincare"])
 def test_every_key_accepts_its_default(experiment):
     # each rule accepts its field's default, so spelling out a default of a
-    # key the experiment reads changes nothing; the default field kind
-    # (dirichlet, no sweep) reads no cauchy key
+    # key the default run reads changes nothing; the default field kind
+    # (dirichlet, no sweep) reads no cauchy key and no overdetermination
+    # tolerance
     defaults = ScenarioConfig(experiment)
     lines = [f'experiment = "{experiment}"']
-    for path, (name, _) in harness._KEYS.items():
-        read = experiment in harness._readers(path) and not path.startswith("cauchy.")
-        if path != "experiment" and read:
+    for path, (name, _, (_, reads)) in harness._KEYS.items():
+        if path != "experiment" and reads(defaults):
             lines.append(f"{path} = {json.dumps(getattr(defaults, name))}")
-    assert len(lines) == {"identities": 12, "stability": 15, "shapeflow": 6, "poincare": 11}[
+    assert len(lines) == {"identities": 11, "stability": 14, "shapeflow": 6, "poincare": 11}[
         experiment
     ]
     spelled = validate_config(parse_config_text("\n".join(lines)))
@@ -351,6 +351,13 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
             "sweep.values[0]",
         ),
         (SWEEP_RADIAL.replace("[0.05,", "[-0.05,"), "sweep.values[0]"),
+        # a dirichlet field imposes no u_nu = c, so its overdetermination
+        # tolerance used to be accepted and ignored
+        (shipped("stability_dirichlet") + "tolerances.overdet = 1e-300\n", "tolerances.overdet"),
+        (
+            RADIAL_IDENTITIES.replace('"radial"', '"dirichlet"') + "tolerances.overdet = 1e-300\n",
+            "tolerances.overdet",
+        ),
     ],
     ids=[
         "unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes",
@@ -365,7 +372,8 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         "literal-sweep-with-modes", "dirichlet-negative-hole-radius",
         "overdetermined-sweep-negative-hole-radius", "dirichlet-hole-across-curve",
         "dirichlet-modes-beyond-bend-bound", "literal-sweep-point-beyond-bend-bound",
-        "hole-radius-sweep-negative-radius",
+        "hole-radius-sweep-negative-radius", "dirichlet-stability-with-overdet",
+        "dirichlet-identities-with-overdet",
     ],
 )
 def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):
@@ -633,6 +641,13 @@ def test_sweep_requires_axis_and_values(tmp_path, capsys):
     assert main(["sweep", cfg, "--out", str(tmp_path / "o1")]) == 2
     cfg2 = write(tmp_path, "empty.cfg", SWEEP_EPS.replace("[0.01, 0.02]", "[]"))
     assert main(["sweep", cfg2, "--out", str(tmp_path / "o2")]) == 2
+    # a valid config that declares no sweep: the sweep command used to name
+    # 'sweep', which is not a key
+    capsys.readouterr()
+    cfg3 = str(CONFIGS / "stability_dirichlet.cfg")
+    assert main(["sweep", cfg3, "--out", str(tmp_path / "o3")]) == 2
+    assert "config field 'sweep.axis'" in capsys.readouterr().err
+    assert not (tmp_path / "o3").exists()
 
 
 def test_sweep_eps_rejects_extra_holes(tmp_path, capsys):
@@ -758,7 +773,8 @@ def test_report_numbers_are_finite(tmp_path):
 
 def test_readme_key_table_matches_keys():
     # the README's config-key table lists every key a config may set, in
-    # declaration order, and nothing else
+    # declaration order, and nothing else, and its "read by" column is the
+    # text of each key's readers
     lines = (CONFIGS.parent / "README.md").read_text().splitlines()
     start = lines.index("| key | default | rule | read by |") + 2
     rows = []
@@ -766,5 +782,5 @@ def test_readme_key_table_matches_keys():
         if not line.startswith("|"):
             break
         rows.append(line)
-    keys = [re.fullmatch(r"\| `([^`]+)` \|.*", row).group(1) for row in rows]
-    assert keys == list(harness._KEYS)
+    cells = [re.fullmatch(r"\| `([^`]+)` \|.* \| ([^|]+) \|", row).groups() for row in rows]
+    assert cells == [(path, read_by) for path, (_, _, (read_by, _)) in harness._KEYS.items()]

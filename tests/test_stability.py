@@ -562,10 +562,11 @@ def test_stability_report_rejects_unknown_regime(annulus, annulus_quads, annulus
         stability_report(annulus, annulus_model, annulus_quads, regime="bogus")
 
 
-def test_stability_report_hypothesis_failure_path(annulus, annulus_quads, annulus_model):
-    rep = stability_report(
-        annulus, annulus_model, annulus_quads, z_override=(5.0, 5.0)
-    )
+def test_stability_report_hypothesis_failure_path(
+    annulus, annulus_quads, annulus_model, monkeypatch
+):
+    monkeypatch.setattr(stability, "adjusted_center", lambda *args: ((5.0, 5.0), False))
+    rep = stability_report(annulus, annulus_model, annulus_quads)
     assert not rep.hypotheses["z_inside_domain"]
     assert not rep.hypotheses_pass
     assert math.isnan(rep.pseudo_distance)
