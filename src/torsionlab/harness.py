@@ -19,8 +19,8 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .identities import (
     check_value_c,
     sample_field,
 )
-from .shapeflow import final_roundness, flow_to_constant_flux, roundness_gap
+from .shapeflow import check_flow_start, flow_to_constant_flux, roundness_gap
 from .solver import (
     SolverConvergenceError,
     overdetermined_instance,
@@ -225,6 +225,12 @@ def _kind(cfg):
     return cfg.field_kind if cfg.experiment in ("identities", *_STABILITY) else None
 
 
+def _asserts_overdetermination(cfg):
+    """Whether the run asserts u_nu = c on Gamma: every field kind but
+    dirichlet imposes it."""
+    return _kind(cfg) not in (None, "dirichlet")
+
+
 def _axis(cfg):
     """The sweep axis a run reads: None outside the stability runs."""
     return cfg.sweep_axis if cfg.experiment in _STABILITY else None
@@ -264,8 +270,7 @@ _KEYS = {
     "tolerances.identity_rel": ("identity_rel_tol", _number(float, "> 0"),
                                 _by("identities", "identities")),
     "tolerances.overdet": ("overdet_tol", _number(float, "> 0"), (
-        "radial, overdetermined and cauchy-literal fields",
-        lambda c: _kind(c) not in (None, "dirichlet"))),
+        "radial, overdetermined and cauchy-literal fields", _asserts_overdetermination)),
     "tolerances.growth_samples": ("growth_samples", _number(int, ">= 1"), _STABILITY_RUNS),
     "sweep.axis": ("sweep_axis", _one_of(None, *SWEEP_AXES), _STABILITY_RUNS),
     "sweep.values": ("sweep_values", _ascending, _STABILITY_RUNS),
@@ -335,6 +340,8 @@ def _check_combinations(cfg: ScenarioConfig, given: dict):
             "domain.holes", f"overdetermined instances use exactly one hole, g = 0, got {holes}"
         )
     if cfg.experiment == "poincare":
+        if not cfg.poincare_triples:
+            raise ConfigError("poincare.triples", "needs at least one [r, p, alpha] triple")
         for i, (r, p, alpha) in enumerate(cfg.poincare_triples):
             try:
                 validate_poincare_triple(r, p, alpha)
@@ -359,7 +366,9 @@ def _check_combinations(cfg: ScenarioConfig, given: dict):
         return
     try:
         outer = DomainSpec(cfg.outer_radius, cfg.modes)
-    except InvalidDomainError as err:
+        if cfg.experiment == "shapeflow":
+            check_flow_start(outer)
+    except ValueError as err:
         raise ConfigError("domain.modes", str(err)) from None
     try:
         replace(outer, holes=built)
@@ -471,7 +480,7 @@ def run_identities(cfg: ScenarioConfig):
     gamma_len = quads.bounds.gamma.arc_length
     c, from_divergence = value_c.lhs / gamma_len, value_c.rhs / gamma_len
     mismatch = abs(from_divergence - c)
-    if cfg.field_kind != "dirichlet":  # every other kind has u_nu = c on Gamma
+    if _asserts_overdetermination(cfg):
         reports.append(
             check_overdetermined(gamma, holes, c, fundamental, value_c, cfg.overdet_tol)
         )
@@ -524,22 +533,16 @@ def _point_configs(cfg: ScenarioConfig):
         yield f"{cfg.sweep_axis}={v:g}", cfg.sweep_axis, v, point
 
 
-def _points(cfg: ScenarioConfig):
-    """(label, axis, value, spec, model) of each point of a stability run,
-    each point config built like a single run."""
-    for label, axis, value, point in _point_configs(cfg):
-        spec, model, _ = _build_field(point)
-        yield label, axis, value, spec, model
-
-
-def _stability_point(cfg: ScenarioConfig, point):
-    """(stability report, instances row, report entry, assertions) of one
-    point: the functionals, the growth and Hopf checks and the bound table."""
-    label, axis, value, spec, model = point
+def _stability_point(point):
+    """(field model, stability report, instances row, report entry,
+    assertions) of one item of _point_configs: its field, the functionals,
+    the growth and Hopf checks and the bound table."""
+    label, axis, value, cfg = point
+    spec, model, _ = _build_field(cfg)
     quads = build_quadratures(spec, cfg.n_theta, cfg.n_r)
     rep = stability_report(
-        spec, model, quads, label=label, regime=cfg.regime, tol_overdet=cfg.overdet_tol,
-        waive_overdetermination=cfg.field_kind == "dirichlet",
+        spec, model, quads, label=label, regime=cfg.regime,
+        tol_overdet=cfg.overdet_tol if _asserts_overdetermination(cfg) else None,
     )
     rng = np.random.default_rng(cfg.seed)
     pts = random_interior_points(spec, cfg.growth_samples, rng)
@@ -584,7 +587,7 @@ def _stability_point(cfg: ScenarioConfig, point):
         "c_in_bracket": table.c_in_bracket,
     }
     row = _row(INSTANCE_COLUMNS, rep, axis=axis, value=value, rho_gap=rep.rho_e - rep.rho_i)
-    return rep, row, entry, assertions
+    return model, rep, row, entry, assertions
 
 
 def _loglog_slopes(values, rows, columns):
@@ -610,17 +613,16 @@ def _loglog_slopes(values, rows, columns):
 
 
 def run_stability(cfg: ScenarioConfig):
-    """Both stability experiments: every point gets the same checks.  A
-    single instance runs on the calling thread; a sweep runs its points on
-    the --threads pool, names each check '<label>:<check>' and adds the
-    fitted constants and the log-log slopes."""
-    points = list(_points(cfg))
+    """Both stability experiments: every point is built and checked as one
+    unit, in order, on the calling thread at --threads 1 and on a pool of
+    that many threads above it.  A sweep names each check '<label>:<check>'
+    and adds the fitted constants and the log-log slopes."""
+    with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
+        points = (pool.map if pool else map)(_stability_point, _point_configs(cfg))
+        models, reports, rows, entries, checks = zip(*points)
     if cfg.sweep_axis is None:
-        _, row, entry, assertions = _stability_point(cfg, points[0])
-        payload = {"field_model": points[0][-1].to_dict(), **entry}
-        return payload, {"instances": (INSTANCE_COLUMNS, [row])}, assertions
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        reports, rows, entries, checks = zip(*pool.map(partial(_stability_point, cfg), points))
+        payload = {"field_model": models[0].to_dict(), **entries[0]}
+        return payload, {"instances": (INSTANCE_COLUMNS, list(rows))}, checks[0]
     fitted, excluded = fit_constants(reports)
     slopes = _loglog_slopes(
         [r["value"] for r in rows], rows, ("pseudo_distance", "asymmetry", "rho_gap")
@@ -657,7 +659,6 @@ def run_stability(cfg: ScenarioConfig):
 def run_shapeflow(cfg: ScenarioConfig):
     spec = _build_spec(cfg)
     result = flow_to_constant_flux(spec)
-    round_ = final_roundness(result)
     energies = [s.energy for s in result.trajectory]
     monotone = all(b >= a - 1e-9 for a, b in zip(energies, energies[1:]))
     area0 = result.trajectory[0].area
@@ -665,18 +666,19 @@ def run_shapeflow(cfg: ScenarioConfig):
         _row(TRAJECTORY_COLUMNS, s, rho_gap=roundness_gap(s.spec), area_drift=abs(s.area - area0) / area0)
         for s in result.trajectory
     ]
+    final = {key: rows[-1][key] for key in ("rho_gap", "flatness", "area_drift")}
     assertions = [
         Assertion("flow_converged", result.converged, witness=result.reason),
         Assertion("energy_monotone_over_accepted_steps", monotone),
         Assertion(
             "volume_drift<=1e-5",
-            round_["area_drift"] <= 1e-5,
-            witness=f"drift={round_['area_drift']:.3e}",
+            final["area_drift"] <= 1e-5,
+            witness=f"drift={final['area_drift']:.3e}",
         ),
         Assertion(
             "final_rho_gap<=5e-3",
-            round_["rho_gap"] <= 5e-3,
-            witness=f"rho_gap={round_['rho_gap']:.3e}",
+            final["rho_gap"] <= 5e-3,
+            witness=f"rho_gap={final['rho_gap']:.3e}",
         ),
     ]
     payload = {
@@ -685,7 +687,7 @@ def run_shapeflow(cfg: ScenarioConfig):
             "stalled": result.stalled,
             "reason": result.reason,
             "iterations": len(result.trajectory) - 1,
-            "final": round_,
+            "final": final,
         }
     }
     tables = {"trajectory": (TRAJECTORY_COLUMNS, rows)}

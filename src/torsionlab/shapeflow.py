@@ -55,10 +55,6 @@ class FlowResult:
     stalled: bool
     reason: str
 
-    @property
-    def final(self) -> ShapeState:
-        return self.trajectory[-1]
-
 
 def _flux(spec: DomainSpec, model: FieldModel):
     """The outer curve's trapezoid rule on 512 angles and u_nu at its nodes."""
@@ -132,6 +128,15 @@ def _cosine_fit(r_values, n_modes) -> DomainSpec:
     return DomainSpec(outer_radius=R0, fourier_modes=tuple(modes))
 
 
+def check_flow_start(spec: DomainSpec):
+    """Raise ValueError unless spec can start the flow: no holes (each step
+    refits a hole-free curve) and sum |eps_k| <= 0.1."""
+    if spec.holes:
+        raise ValueError(f"the flow needs a hole-free domain, got {len(spec.holes)} holes")
+    if sum(abs(e) for _, e in spec.fourier_modes) > 0.1 + 1e-12:
+        raise ValueError("initial perturbation amplitudes must satisfy sum |eps_k| <= 0.1")
+
+
 def flow_to_constant_flux(spec: DomainSpec) -> FlowResult:
     """Evolve the outer curve of a hole-free domain along +(u_nu^2 - mean)
     normal velocity, with exact area restoration each step, until u_nu is
@@ -144,10 +149,7 @@ def flow_to_constant_flux(spec: DomainSpec) -> FlowResult:
     is halved, and more than max_halvings = 12 halvings stalls the flow.
     """
     max_iters, flatness_tol, energy_tol, max_halvings = 200, 1e-3, 1e-9, 12
-    if spec.holes:
-        raise ValueError(f"the flow needs a hole-free domain, got {len(spec.holes)} holes")
-    if sum(abs(e) for _, e in spec.fourier_modes) > 0.1 + 1e-12:
-        raise ValueError("initial perturbation amplitudes must satisfy sum |eps_k| <= 0.1")
+    check_flow_start(spec)
     target_area = spec.outer_area
 
     def measure(s):
@@ -212,14 +214,3 @@ def roundness_gap(spec: DomainSpec) -> float:
     """Enclosing minus inscribed radius about the region's barycenter."""
     rho_e, rho_i = enclosing_inscribed_radii(spec, barycenter(spec))
     return rho_e - rho_i
-
-
-def final_roundness(result: FlowResult) -> dict:
-    """Diagnostics of the terminal shape: enclosing/inscribed radius gap about
-    the barycenter and the normal-derivative spread."""
-    return {
-        "rho_gap": roundness_gap(result.final.spec),
-        "flatness": result.final.flatness,
-        "area_drift": abs(result.final.area - result.trajectory[0].area)
-        / result.trajectory[0].area,
-    }

@@ -585,10 +585,12 @@ def stability_report(
     quads: Quadratures,
     label: str = "",
     regime: str = "sphere-condition",
-    tol_overdet: float = 1e-6,
-    waive_overdetermination: bool = False,
+    tol_overdet: float | None = 1e-6,
 ) -> StabilityReport:
     """All stability functionals and hypothesis checks on one instance.
+    tol_overdet bounds max |u_nu - c| on Gamma; None asserts no
+    overdetermination (a Dirichlet field), and the report notes the
+    measured deviation instead.
 
     Hypothesis failures never raise: they are enumerated in the report and
     flagged so sweep-level constant fitting can exclude the instance.
@@ -624,10 +626,10 @@ def stability_report(
 
     hypotheses = {
         "u_nonpositive_on_holes": all(np.max(u) <= 1e-9 for _, u, _, _ in holes),
-        "overdetermined": waive_overdetermination or overdet_dev <= tol_overdet,
+        "overdetermined": tol_overdet is None or overdet_dev <= tol_overdet,
         "z_inside_domain": z_inside,
     }
-    if waive_overdetermination:
+    if tol_overdet is None:
         notes.append(f"overdetermination waived (measured deviation {overdet_dev:.3e})")
 
     if z_inside:

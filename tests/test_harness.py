@@ -3,11 +3,12 @@ import dataclasses
 import json
 import math
 import re
+import threading
 from pathlib import Path
 
 import pytest
 
-from torsionlab import _blas, harness
+from torsionlab import _blas, harness, shapeflow
 from torsionlab.geometry import build_quadratures
 from torsionlab.harness import (
     ConfigError,
@@ -358,6 +359,11 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
             RADIAL_IDENTITIES.replace('"radial"', '"dirichlet"') + "tolerances.overdet = 1e-300\n",
             "tolerances.overdet",
         ),
+        # a run with no triple checked nothing and passed
+        (POINCARE + "poincare.triples = []\n", "poincare.triples"),
+        # validate used to pass a flow start (sum k^2 |eps_k| < 1) that the
+        # flow rejects (sum |eps_k| > 0.1), and run died with a traceback
+        (SHAPEFLOW.replace("[[3, 0.05]]", "[[2, 0.12]]"), "domain.modes"),
     ],
     ids=[
         "unknown-axis", "hole-radius-with-holes", "eps-kind-unset", "eps-two-holes",
@@ -373,7 +379,7 @@ def test_sweep_hole_radius_rejects_holes(tmp_path, capsys):
         "overdetermined-sweep-negative-hole-radius", "dirichlet-hole-across-curve",
         "dirichlet-modes-beyond-bend-bound", "literal-sweep-point-beyond-bend-bound",
         "hole-radius-sweep-negative-radius", "dirichlet-stability-with-overdet",
-        "dirichlet-identities-with-overdet",
+        "dirichlet-identities-with-overdet", "poincare-no-triples", "shapeflow-start-too-large",
     ],
 )
 def test_validate_runs_sweep_checks(tmp_path, capsys, text, path):
@@ -531,6 +537,28 @@ def test_run_shapeflow_trajectory_monotone(tmp_path):
     gap_col = header.index("rho_gap")
     gaps = [float(row.split(",")[gap_col]) for row in lines[1:]]
     assert gaps[-1] < gaps[0]
+
+
+def test_run_shapeflow_final_is_the_last_trajectory_row(tmp_path, monkeypatch):
+    # report.json's flow.final is the last trajectory row's three cells, and
+    # the roundness gap is measured once per row, not again for the final
+    gaps = []
+
+    def counted(spec):
+        gaps.append(spec)
+        return roundness_gap(spec)
+
+    roundness_gap = shapeflow.roundness_gap
+    monkeypatch.setattr(harness, "roundness_gap", counted)
+    monkeypatch.setattr(shapeflow, "roundness_gap", counted)
+    cfg = write(tmp_path, "flow.cfg", SHAPEFLOW)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "tables" / "trajectory.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    final = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["flow"]["final"]
+    assert final == {key: float(rows[-1][key]) for key in ("rho_gap", "flatness", "area_drift")}
+    assert list(final) == ["rho_gap", "flatness", "area_drift"]
+    assert len(gaps) == len(rows)
 
 
 def test_run_report_serializes_field_model(tmp_path):
@@ -731,6 +759,29 @@ def test_sweep_worker_pool_preserves_determinism(tmp_path):
         a = (tmp_path / "t1" / "tables" / table).read_bytes()
         b = (tmp_path / "t3" / "tables" / table).read_bytes()
         assert a == b
+
+
+def test_sweep_at_one_thread_runs_each_point_on_the_calling_thread(tmp_path, monkeypatch):
+    # at --threads 1 each point is built and checked as one unit on the
+    # calling thread; the checks used to run on a pool worker after every
+    # field was built
+    calls = []
+
+    def recorded(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args):
+            calls.append((name, threading.get_ident()))
+            return original(*args)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    recorded("_build_field")
+    recorded("check_growth")
+    cfg = write(tmp_path, "sweep.cfg", SWEEP_RADIAL)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
+    caller = threading.get_ident()
+    assert calls == [("_build_field", caller), ("check_growth", caller)] * 3
 
 
 def test_schema_documents_every_column(tmp_path):

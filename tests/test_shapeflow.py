@@ -8,8 +8,8 @@ from torsionlab.geometry import DomainSpec, Hole, build_quadratures
 from torsionlab.identities import check_value_c, sample_field
 from torsionlab.shapeflow import (
     energy,
-    final_roundness,
     flow_to_constant_flux,
+    roundness_gap,
     shape_gradient,
 )
 from torsionlab.solver import evaluate, normal_derivative, solve_dirichlet
@@ -146,13 +146,13 @@ def flow_result():
 def test_flow_converges(flow_result):
     assert flow_result.converged
     assert len(flow_result.trajectory) - 1 <= 200
-    assert flow_result.final.flatness <= 1e-3
+    assert flow_result.trajectory[-1].flatness <= 1e-3
 
 
 def test_flow_final_shape_is_round(flow_result):
-    round_ = final_roundness(flow_result)
-    assert round_["rho_gap"] <= 5e-3
-    assert round_["area_drift"] <= 1e-5
+    first, final = flow_result.trajectory[0], flow_result.trajectory[-1]
+    assert roundness_gap(final.spec) <= 5e-3
+    assert abs(final.area - first.area) / first.area <= 1e-5
 
 
 def test_flow_energy_monotone_and_std_monotone(flow_result):
@@ -210,7 +210,7 @@ def test_flow_rejects_holes():
 def test_flow_realizes_overdetermined_condition(flow_result):
     # at termination the boundary flux is numerically constant and the curve
     # is the matching sphere to within the pseudo-distance tolerance
-    spec = flow_result.final.spec
+    spec = flow_result.trajectory[-1].spec
     model, _ = solve_dirichlet(spec, 96)
     quads = build_quadratures(spec, 256, 48)
     bq = quads.bounds.gamma

@@ -592,7 +592,7 @@ def test_stability_report_two_holes():
     )
     model, _ = solve_dirichlet(spec, 96)
     quads = build_quadratures(spec, 192, 32)
-    rep = stability_report(spec, model, quads, waive_overdetermination=True)
+    rep = stability_report(spec, model, quads, tol_overdet=None)
     assert rep.hypotheses["u_nonpositive_on_holes"]
     assert rep.hypotheses["z_inside_domain"]
     assert rep.holes_perimeter == pytest.approx(2 * math.pi * (0.12 + 0.1))
@@ -605,11 +605,11 @@ def test_report_c_is_the_value_c_flux_over_arc_length():
     # stability_report's c and the identities experiment's c (the outer-curve
     # side of the value_c identity over |Gamma|) are the same float
     cfg = load_config(CONFIGS / "stability_dirichlet.cfg")
-    [(_, _, _, spec, model)] = harness._points(cfg)
+    spec, model, _ = harness._build_field(cfg)
     inst = overdetermined_instance(0.02)
     for spec, model in ((spec, model), (inst.spec, inst.model)):
         quads = build_quadratures(spec, 256, 48)
-        rep = stability_report(spec, model, quads, waive_overdetermination=True)
+        rep = stability_report(spec, model, quads, tol_overdet=None)
         value_c = check_value_c(spec, *sample_field(model, quads)[1:])
         assert rep.c == value_c.lhs / quads.bounds.gamma.arc_length
 
@@ -625,12 +625,13 @@ def test_report_invariants(annulus, annulus_quads, annulus_model):
 
 
 def test_stability_point_evaluates_each_node_set_once(monkeypatch):
-    # the report, the growth and the Hopf check of configs/stability_dirichlet.cfg:
-    # one kernel call each for the outer curve, the hole, the boundary layer
-    # (its 256 x 24 nodes, inner curve and 512 outer-curve points) and the
-    # growth samples
+    # the field, the report, the growth and the Hopf check of
+    # configs/stability_dirichlet.cfg: the Dirichlet solve's two residual
+    # passes (outer curve and hole nodes), then one kernel call each for the
+    # outer curve, the hole, the boundary layer (its 256 x 24 nodes, inner
+    # curve and 512 outer-curve points) and the growth samples
     cfg = load_config(CONFIGS / "stability_dirichlet.cfg")
-    [point] = harness._points(cfg)
+    [point] = harness._point_configs(cfg)
     kernel = _kernels.log_source_fields
     calls = []
 
@@ -639,8 +640,8 @@ def test_stability_point_evaluates_each_node_set_once(monkeypatch):
         return kernel(points, sources, coeffs, want)
 
     monkeypatch.setattr(_kernels, "log_source_fields", counted)
-    harness._stability_point(cfg, point)
-    assert calls == [("g", 256), ("ugh", 128), ("g", 256 * 24 + 256 + 512), ("u", 10_000)]
+    harness._stability_point(point)
+    assert calls == [("u", 768), ("u", 384), ("g", 256), ("ugh", 128), ("g", 256 * 24 + 256 + 512), ("u", 10_000)]
 
 
 def _report_per_helper(spec, model, quads, regime, waive):
@@ -743,7 +744,8 @@ def test_report_equals_per_helper_oracle(field, regime, waive):
     # the comparison are the oracle's floats bit for bit (repr round-trips)
     spec, model, n_theta, n_r = field()
     quads = build_quadratures(spec, n_theta, n_r)
-    rep = stability_report(spec, model, quads, regime=regime, waive_overdetermination=waive)
+    tol_overdet = None if waive else 1e-6
+    rep = stability_report(spec, model, quads, regime=regime, tol_overdet=tol_overdet)
     assert repr(rep) == repr(_report_per_helper(spec, model, quads, regime, waive))
 
 
